@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success, 1 on any input problem (bad arguments, unreadable
 files, malformed or invalid judgment data), 2 on an internal invariant
-violation. Results go to stdout, diagnostics to stderr.
+violation or when any round fails to evaluate. A failing round does not stop
+the others: the rounds that succeed are still written. Results go to stdout,
+diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -29,9 +31,10 @@ from .io import (
 )
 from .pipeline import (
     EvaluationConfig,
+    RoundFailure,
     compare_configs,
     config_grid,
-    evaluate_round,
+    evaluate_all,
 )
 
 _INPUT_ERRORS = (ParseError, SchemaError, DomainError, LengthMismatchError, OSError)
@@ -96,31 +99,48 @@ def _load_config(path: str | None) -> EvaluationConfig:
     return config_from_dict(doc)
 
 
+def _evaluate(rounds, config) -> tuple[list, int]:
+    """The reports of the rounds that evaluate, and the exit code.
+
+    Each failing round is named on stderr; any failure makes the code 2.
+    """
+    reports = []
+    for result in evaluate_all(rounds, config):
+        if isinstance(result, RoundFailure):
+            print(
+                f"error: round {result.round_label}: {result.error_type}: {result.error}",
+                file=sys.stderr,
+            )
+        else:
+            reports.append(result)
+    return reports, 0 if len(reports) == len(rounds) else 2
+
+
 def _cmd_evaluate(args) -> int:
     rounds = _load_rounds(args.file, args.round_label)
-    config = _load_config(args.config)
-    reports = [evaluate_round(r, config) for r in rounds]
+    reports, code = _evaluate(rounds, _load_config(args.config))
     if args.format == "csv":
         sys.stdout.write(emit_trace(reports).decode("utf-8"))
     elif args.format == "json":
         from .io import report_to_dict
 
+        # a list per file of several rounds, even when some of them failed
         docs = [report_to_dict(r) for r in reports]
-        body = docs[0] if len(docs) == 1 else docs
-        sys.stdout.write(json.dumps(body, indent=2, sort_keys=True) + "\n")
+        if len(rounds) > 1 or docs:
+            body = docs if len(rounds) > 1 else docs[0]
+            sys.stdout.write(json.dumps(body, indent=2, sort_keys=True, allow_nan=False) + "\n")
     else:
         for report in reports:
             sys.stdout.write(emit_report(report, "human").decode("utf-8"))
-    return 0
+    return code
 
 
 def _cmd_trace(args) -> int:
     rounds = _load_rounds(args.file, args.round_label)
-    config = _load_config(args.config)
-    reports = [evaluate_round(r, config) for r in rounds]
+    reports, code = _evaluate(rounds, _load_config(args.config))
     Path(args.out).write_bytes(emit_trace(reports))
     print(f"wrote trace for {len(reports)} round(s) to {args.out}", file=sys.stderr)
-    return 0
+    return code
 
 
 def _cmd_compare(args) -> int:
@@ -143,11 +163,10 @@ def _cmd_compare(args) -> int:
 
 def _cmd_plot_data(args) -> int:
     rounds = _load_rounds(args.file, None)
-    config = _load_config(args.config)
-    reports = [evaluate_round(r, config) for r in rounds]
+    reports, code = _evaluate(rounds, _load_config(args.config))
     Path(args.out).write_bytes(plot_data(reports))
     print(f"wrote plot data for {len(reports)} round(s) to {args.out}", file=sys.stderr)
-    return 0
+    return code
 
 
 _COMMANDS = {

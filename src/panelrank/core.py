@@ -6,8 +6,8 @@ the hesitancy, the mass the judge declined to commit either way. This module
 holds the atomic operations on single judgments: validation, the reliability
 and score summaries, the Z-number transform and its reliability-weighted
 combination, information volume, the Jensen-Shannon distance between two
-judgments, and the hesitancy split that turns a judgment into a signed
-support value.
+judgments (and its array form over whole stacks of judgment pairs), and the
+hesitancy split that turns a judgment into a signed support value.
 
 All types are immutable and all functions are pure, so values can be shared
 and evaluated in parallel freely.
@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -153,6 +155,53 @@ def js_distance(a: IFN, b: IFN) -> float:
         total += _jterm(x, y) + _jterm(y, x)
     # total can dip a hair below zero for identical triples
     return math.sqrt(max(0.5 * total, 0.0))
+
+
+def mass_triples(mu, nu) -> np.ndarray:
+    """Stack membership and non-membership arrays into (mu, nu, xi) along a new first axis."""
+    mu = np.asarray(mu, dtype=float)
+    nu = np.asarray(nu, dtype=float)
+    return np.stack((mu, nu, 1.0 - mu - nu))
+
+
+def js_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Jensen-Shannon distances between aligned stacks of mass triples.
+
+    a and b have shape [3, ...] with (mu, nu, xi) along the first axis, as
+    built by mass_triples; the result has the trailing shape. Every entry
+    equals js_distance of the corresponding pair bit for bit: the logs come
+    from math.log (libm) in one batch over the defined terms, not from
+    numpy's vectorized log, which may differ in the last place, and the terms
+    are added in js_distance's order.
+    """
+    x = np.concatenate((a, b))  # x[c] pairs with y[c]: terms t(a, b), then t(b, a)
+    y = np.concatenate((b, a))
+    s = x + y
+    defined = (x > 0.0) & (s > 0.0)
+    xs = x[defined]
+    ratios = (2.0 * xs / s[defined]).tolist()
+    terms = np.zeros(x.shape)
+    terms[defined] = xs * np.fromiter(map(math.log, ratios), float, len(ratios))
+    total = 0.0 + (terms[0] + terms[3])  # from +0.0, as js_distance starts
+    total = total + (terms[1] + terms[4])
+    total = total + (terms[2] + terms[5])
+    return np.sqrt(np.maximum(0.5 * total, 0.0))
+
+
+def js_distance_matrices(triples: np.ndarray) -> np.ndarray:
+    """Distances between all pairs along the last axis of a [3, ..., k] stack.
+
+    Returns [..., k, k]: symmetric, zero on the diagonal, each pair computed
+    once by js_distances and mirrored, which is exact since js_distance is
+    symmetric bit for bit.
+    """
+    k = triples.shape[-1]
+    rows, cols = np.triu_indices(k, 1)
+    out = np.zeros(triples.shape[1:] + (k,))
+    out[..., rows, cols] = out[..., cols, rows] = js_distances(
+        triples[..., rows], triples[..., cols]
+    )
+    return out
 
 
 def split_hesitancy(ifn: IFN, strategy: SplitStrategy) -> tuple[float, float]:

@@ -93,8 +93,8 @@ class InfoVolumeVector:
             raise LengthMismatchError("info volume components must align")
         if np.any(~np.isfinite(raw)):
             raise DomainError("raw info volume must be finite")
-        if np.any(modified <= 0.0):
-            raise DomainError("modified info volume must be positive")
+        if np.any(~np.isfinite(modified)) or np.any(modified <= 0.0):
+            raise DomainError("modified info volume must be finite and positive")
         if not np.allclose(modified, np.exp(raw), rtol=1e-9, atol=0.0):
             raise DomainError("modified info volume must equal exp(raw)")
         if np.any(normalized <= 0.0) or abs(normalized.sum() - 1.0) > NORM_TOL:
@@ -177,6 +177,37 @@ def expert_divergence(panel: Panel) -> np.ndarray:
     return div
 
 
+def group_distance_matrix(cross: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Every directional group distance of a panel at once.
+
+    cross[e, f, m] is the judgment distance between experts e and f on
+    criterion m, weights[e, m] is expert e's weight for criterion m, and
+    gd[e, f] equals group_distance(group_e, group_f, weights_e). The
+    criterion sum runs as plain adds in criterion order, as in
+    group_distance, not through a reduction that reorders them, so the
+    entries are bit-identical.
+    """
+    gd = np.zeros(cross.shape[:2])
+    for m in range(cross.shape[2]):
+        gd += weights[:, m, None] * cross[:, :, m]
+    gd.setflags(write=False)
+    return gd
+
+
+def divergence_from_group_distances(gd: np.ndarray) -> np.ndarray:
+    """Row sums of a group distance matrix with a zero diagonal.
+
+    Adds in expert order, so the result equals expert_divergence of the
+    panel the matrix came from bit for bit (adding the zero diagonal entry
+    changes no sum).
+    """
+    div = np.zeros(gd.shape[0])
+    for f in range(gd.shape[1]):
+        div += gd[:, f]
+    div.setflags(write=False)
+    return div
+
+
 def credibility(div: Sequence[float], credibility_floor: float = 1.0) -> CredibilityVector:
     """Turn divergences into credibility shares: low divergence, high share.
 
@@ -214,9 +245,11 @@ def modified_info_volume(raw: Sequence[float]) -> InfoVolumeVector:
     if values.ndim != 1 or np.any(~np.isfinite(values)):
         raise DomainError("raw info volumes must be finite")
     shifted = np.exp(values - values.max())
+    with np.errstate(over="ignore"):  # an overflow is rejected by InfoVolumeVector
+        modified = np.exp(values)
     return InfoVolumeVector(
         raw=values.copy(),
-        modified=np.exp(values),
+        modified=modified,
         normalized=shifted / shifted.sum(),
     )
 

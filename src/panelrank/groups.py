@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IFN, js_distance
+from .core import IFN, js_distance_matrices, mass_triples
 from .errors import DegenerateGroupError, DomainError
 
 
@@ -131,13 +131,8 @@ def pairwise_distances(group: GroupAssessment) -> DistanceMatrix:
     m = len(group)
     if m < 2:
         raise DomainError("pairwise distances need at least two judgments")
-    values = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            d = js_distance(group.items[i], group.items[j])
-            values[i, j] = d
-            values[j, i] = d
-    return DistanceMatrix(values)
+    triples = mass_triples([i.mu for i in group.items], [i.nu for i in group.items])
+    return DistanceMatrix(js_distance_matrices(triples))
 
 
 def closeness_similarity(d: DistanceMatrix) -> np.ndarray:

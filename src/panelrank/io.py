@@ -237,7 +237,7 @@ def emit_judgments(rounds: Sequence[RoundInput]) -> bytes:
             for r in rounds
         ],
     }
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    return (json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +284,11 @@ def _alternative_to_dict(r: AlternativeReport) -> dict:
         "z": [[[z.ifn.mu, z.ifn.nu, z.reliability] for z in row] for row in r.z_table],
         "combined": [[[i.mu, i.nu] for i in g.items] for g in r.combined],
         "distances": [d.values.tolist() for d in r.distances],
-        "similarities": [s.tolist() for s in r.similarities],
+        # a judgment identical to all its peers has infinite similarity,
+        # which standard JSON cannot hold as a number
+        "similarities": [
+            [fnum(v) if math.isinf(v) else v for v in s.tolist()] for s in r.similarities
+        ],
         "points": [p.tolist() for p in r.points],
         "weights": [
             {"values": w.weights.tolist(), "degenerate": w.degenerate} for w in r.weights
@@ -311,7 +315,11 @@ def _alternative_to_dict(r: AlternativeReport) -> dict:
 
 
 def report_to_dict(report: RoundReport) -> dict:
-    """Plain-data form of a report; loss-free and JSON-serializable."""
+    """Plain-data form of a report; loss-free and JSON-serializable.
+
+    Every number is finite except an infinite similarity (the identical-
+    judgment fallback), which is written as the string "inf".
+    """
     return {
         "round_label": report.round_label,
         "criteria_labels": list(report.criteria_labels),
@@ -339,7 +347,7 @@ def _alternative_from_dict(label: str, doc: Mapping, criteria: tuple[str, ...]) 
         z_table=z_table,
         combined=combined,
         distances=tuple(DistanceMatrix(np.array(d)) for d in doc["distances"]),
-        similarities=tuple(np.array(s) for s in doc["similarities"]),
+        similarities=tuple(np.array(s, dtype=float) for s in doc["similarities"]),
         points=tuple(np.array(p, dtype=int) for p in doc["points"]),
         weights=tuple(
             CriterionWeights(np.array(w["values"]), w["degenerate"]) for w in doc["weights"]
@@ -539,7 +547,8 @@ def emit_report(report: RoundReport, format: str = "human") -> bytes:
     if format == "human":
         return _render_human(report).encode("utf-8")
     if format == "json":
-        return (json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n").encode("utf-8")
+        text = json.dumps(report_to_dict(report), indent=2, sort_keys=True, allow_nan=False)
+        return (text + "\n").encode("utf-8")
     if format == "csv":
         return emit_trace([report])
     raise DomainError(f"unknown report format {format!r}")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SplitStrategy, ZJudgment, combine, to_z
+from .core import SplitStrategy, ZJudgment, combine, js_distance_matrices, mass_triples, to_z
 from .credibility import (
     AttitudeVector,
     CredibilityVector,
@@ -29,8 +29,8 @@ from .credibility import (
     Panel,
     attitude_characters,
     credibility,
-    expert_divergence,
-    group_distance,
+    divergence_from_group_distances,
+    group_distance_matrix,
     group_information_volume,
     modified_info_volume,
 )
@@ -41,7 +41,6 @@ from .groups import (
     GroupAssessment,
     closeness_similarity,
     criterion_weights,
-    pairwise_distances,
     points,
     preference_matrix,
 )
@@ -164,10 +163,11 @@ class RoundReport:
 
 @dataclass(frozen=True)
 class RoundFailure:
-    """A round that could not be evaluated, with the reason."""
+    """A round that could not be evaluated: the exception's message and type name."""
 
     round_label: str
     error: str
+    error_type: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,18 +213,39 @@ def _evaluate_alternative(
     n_experts = len(panel.groups)
     m = len(panel.groups[0])
 
+    # information volume reads only the original judgments; checked first so
+    # that an overflowing round fails before the distance work
+    raw_iv = np.array([group_information_volume(g) for g in panel.groups])
+    with np.errstate(over="ignore"):
+        overflowed = np.flatnonzero(np.isinf(np.exp(raw_iv)))
+    if overflowed.size:
+        e = overflowed[0]
+        raise DomainError(
+            f"information volume of {raw_iv[e]} bits overflows its exponential",
+            location=f"{label}/{experts[e]}",
+        )
+    iv = modified_info_volume(raw_iv)
+
     z_table = tuple(tuple(to_z(item) for item in g.items) for g in panel.groups)
     combined = tuple(
         GroupAssessment(tuple(combine(z) for z in row), criteria) for row in z_table
     )
+
+    # every within-group pair in one kernel call, within[e, i, j], and every
+    # cross-expert pair in another, cross[e, f, i]
+    triples = mass_triples(
+        [[i.mu for i in g.items] for g in combined], [[i.nu for i in g.items] for g in combined]
+    )
+    within = js_distance_matrices(triples)
+    cross = js_distance_matrices(triples.swapaxes(1, 2)).transpose(1, 2, 0)
 
     notes: list[str] = []
     distances = []
     similarities = []
     point_rows = []
     weight_rows = []
-    for e, group in enumerate(combined):
-        d = pairwise_distances(group)
+    for e in range(n_experts):
+        d = DistanceMatrix(within[e])
         sm, po, cw, note = _analyze_group(d, config.tie_epsilon)
         distances.append(d)
         similarities.append(sm)
@@ -233,18 +254,9 @@ def _evaluate_alternative(
         if note:
             notes.append(f"{label}/{experts[e]}: {note}")
 
-    weighted = Panel(combined, tuple(weight_rows))
-    gd = np.zeros((n_experts, n_experts))
-    for a in range(n_experts):
-        for b in range(n_experts):
-            if a != b:
-                gd[a, b] = group_distance(combined[a], combined[b], weight_rows[a])
-    gd.setflags(write=False)
-    div = expert_divergence(weighted)
+    gd = group_distance_matrix(cross, np.array([cw.weights for cw in weight_rows]))
+    div = divergence_from_group_distances(gd)
     cr = credibility(div, config.credibility_floor)
-
-    raw_iv = [group_information_volume(g) for g in panel.groups]
-    iv = modified_info_volume(raw_iv)
     alpha = attitude_characters(iv, cr)
 
     sharps = tuple(sharpness(a) for a in alpha.values)
@@ -318,7 +330,7 @@ def evaluate_all(
         try:
             out.append(evaluate_round(round_input, config))
         except Exception as exc:  # noqa: BLE001 - isolation is the contract here
-            out.append(RoundFailure(round_input.round_label, str(exc)))
+            out.append(RoundFailure(round_input.round_label, str(exc), type(exc).__name__))
     return tuple(out)
 
 

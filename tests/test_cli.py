@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 import shutil
 import subprocess
 import sys
@@ -150,10 +151,77 @@ def test_internal_failures_exit_two(judgments, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("wires crossed")
 
-    monkeypatch.setattr(panelrank.cli, "evaluate_round", boom)
+    monkeypatch.setattr(sys.modules["panelrank.pipeline"], "evaluate_round", boom)
     assert cli_main(["evaluate", judgments]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("internal error: RuntimeError")
+    assert err.splitlines() == [
+        f"error: round {label}: RuntimeError: wires crossed" for label in ("r1", "r2", "r3")
+    ]
+    # a failure outside round evaluation is still an internal error
+    monkeypatch.undo()
+    monkeypatch.setattr(panelrank.cli, "emit_report", boom)
+    assert cli_main(["evaluate", judgments]) == 2
+    assert capsys.readouterr().err.startswith("internal error: RuntimeError")
+
+
+def _overflow_round(label: str) -> dict:
+    """2 alternatives x 3 experts x 600 criteria of hand-entry-like judgments.
+
+    Each expert's information volume is far above log(float max) ~ 709.8, so
+    its exponential overflows.
+    """
+    rng = random.Random(3)
+
+    def pair():
+        mu = rng.randint(0, 100)
+        return [mu / 100, rng.randint(0, 100 - mu) / 100]
+
+    return {
+        "round_label": label,
+        "criteria_labels": [f"c{i}" for i in range(600)],
+        "experts": ["E1", "E2", "E3"],
+        "alternatives": {
+            alt: [[pair() for _ in range(600)] for _ in range(3)] for alt in ("A1", "A2")
+        },
+    }
+
+
+def _write_rounds(path, rounds) -> str:
+    path.write_text(json.dumps({"schema_version": "1", "rounds": rounds}))
+    return str(path)
+
+
+def test_overflowing_information_volume_fails_with_its_location(tmp_path, capsys):
+    path = _write_rounds(tmp_path / "wide.json", [_overflow_round("wide")])
+    assert cli_main(["evaluate", path, "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert "Infinity" not in captured.out
+    assert captured.out == ""
+    assert captured.err.startswith("error: round wide: DomainError: information volume")
+    assert "overflows" in captured.err
+    assert "(at A1/E1)" in captured.err
+
+
+def test_a_failing_round_does_not_stop_the_others(fixtures_dir, rounds, tmp_path, capsys):
+    good = json.loads((fixtures_dir / "round1.json").read_text())["rounds"][0]
+    path = _write_rounds(tmp_path / "mixed.json", [good, _overflow_round("wide")])
+    failure = "error: round wide: DomainError: "
+    report = evaluate_round(rounds[0])
+
+    assert cli_main(["evaluate", path, "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert [doc["round_label"] for doc in json.loads(captured.out)] == ["r1"]
+    assert captured.err.startswith(failure)
+
+    trace = tmp_path / "trace.csv"
+    assert cli_main(["trace", path, "--out", str(trace)]) == 2
+    assert capsys.readouterr().err.startswith(failure)
+    assert trace.read_bytes() == emit_trace([report])
+
+    series = tmp_path / "series.csv"
+    assert cli_main(["plot-data", path, "--out", str(series)]) == 2
+    assert capsys.readouterr().err.startswith(failure)
+    assert len(series.read_text().splitlines()) == 1 + len(report.alternatives)
 
 
 def test_console_script_is_installed(judgments):

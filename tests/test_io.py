@@ -231,6 +231,22 @@ def test_report_dict_round_trip(report1):
     assert report_to_dict(report_from_dict(doc)) == doc
 
 
+def test_identical_judgments_serialize_to_standard_json():
+    # every judgment of E1's row is the same, so its similarities are infinite
+    flat = GroupAssessment((IFN(0.3, 0.3), IFN(0.3, 0.3), IFN(0.3, 0.3)))
+    other = GroupAssessment((IFN(0.6, 0.1), IFN(0.2, 0.5), IFN(0.4, 0.4)))
+    report = evaluate_round(
+        RoundInput("flat", ("x1", "x2", "x3"), ("E1", "E2"), {"A": Panel((flat, other))})
+    )
+    assert math.isinf(report.alternatives["A"].similarities[0][0])
+    text = emit_report(report, "json").decode("utf-8")
+    doc = json.loads(text, parse_constant=lambda token: pytest.fail(f"emitted {token}"))
+    assert doc["alternatives"]["A"]["similarities"][0] == ["inf", "inf", "inf"]
+    rebuilt = report_from_dict(doc)
+    assert math.isinf(rebuilt.alternatives["A"].similarities[0][0])
+    assert report_to_dict(rebuilt) == doc
+
+
 def test_report_from_dict_restores_ranking(report1):
     rebuilt = report_from_dict(report_to_dict(report1))
     assert rebuilt.ranking == report1.ranking

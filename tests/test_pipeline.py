@@ -244,6 +244,7 @@ def test_evaluate_all_isolates_failing_rounds(rounds):
     assert isinstance(results[1], RoundFailure)
     assert results[1].round_label == "solo"
     assert "two judgments" in results[1].error
+    assert results[1].error_type == "DomainError"
 
 
 # ---------------------------------------------------------------------------
