@@ -99,6 +99,13 @@ def _load_config(path: str | None) -> EvaluationConfig:
     return config_from_dict(doc)
 
 
+def _print_failure(failure: RoundFailure) -> None:
+    print(
+        f"error: round {failure.round_label}: {failure.error_type}: {failure.error}",
+        file=sys.stderr,
+    )
+
+
 def _evaluate(rounds, config) -> tuple[list, int]:
     """The reports of the rounds that evaluate, and the exit code.
 
@@ -107,10 +114,7 @@ def _evaluate(rounds, config) -> tuple[list, int]:
     reports = []
     for result in evaluate_all(rounds, config):
         if isinstance(result, RoundFailure):
-            print(
-                f"error: round {result.round_label}: {result.error_type}: {result.error}",
-                file=sys.stderr,
-            )
+            _print_failure(result)
         else:
             reports.append(result)
     return reports, 0 if len(reports) == len(rounds) else 2
@@ -148,9 +152,16 @@ def _cmd_compare(args) -> int:
     reference = None
     if args.reference:
         reference = tuple(part.strip() for part in args.reference.split(">"))
+    code = 0
     for round_input in rounds:
+        try:
+            outcomes = compare_configs(round_input, config_grid(), reference)
+        except Exception as exc:  # noqa: BLE001 - a failing round must not stop the others
+            _print_failure(RoundFailure.from_exception(round_input.round_label, exc))
+            code = 2
+            continue
         print(f"round {round_input.round_label}")
-        for outcome in compare_configs(round_input, config_grid(), reference):
+        for outcome in outcomes:
             config = outcome.config
             print(f"  split={config.split_strategy.value} dp_source={config.dp_source.value}")
             print("    ranking: " + " > ".join(outcome.ranking))
@@ -158,7 +169,7 @@ def _cmd_compare(args) -> int:
             print(f"    ge: {ge}")
             if outcome.matches_reference is not None:
                 print(f"    matches_reference: {'yes' if outcome.matches_reference else 'no'}")
-    return 0
+    return code
 
 
 def _cmd_plot_data(args) -> int:

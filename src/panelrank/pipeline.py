@@ -9,8 +9,10 @@ intermediate quantity lands in the report so results can be audited
 table by table.
 
 Rounds are independent: evaluate_all simply maps over them, isolating
-per-round failures. compare_configs re-runs one round under several
-configurations to expose how the discretionary choices move the ranking.
+per-round failures. compare_configs evaluates one round under several
+configurations to expose how the discretionary choices move the ranking;
+each stage runs once per distinct value of the config fields it reads, and
+evaluate_round is the one-configuration case of the same path.
 """
 
 from __future__ import annotations
@@ -49,10 +51,10 @@ from .slf import (
     LikelihoodSeries,
     OwaWeights,
     Sharpness,
-    dp_values,
     dslf,
     ge_ties,
     gross_estimation,
+    likelihood_series,
     owa_weights,
     rank,
     sharpness,
@@ -169,6 +171,10 @@ class RoundFailure:
     error: str
     error_type: str
 
+    @classmethod
+    def from_exception(cls, round_label: str, exc: Exception) -> "RoundFailure":
+        return cls(round_label, str(exc), type(exc).__name__)
+
 
 @dataclass(frozen=True, eq=False)
 class ConfigOutcome:
@@ -203,14 +209,50 @@ def _analyze_group(d: DistanceMatrix, tie_epsilon: float):
     return sm, po, cw, note
 
 
+def _weigh_groups(
+    label: str,
+    experts: tuple[str, ...],
+    distances: tuple[DistanceMatrix, ...],
+    cross: np.ndarray,
+    tie_epsilon: float,
+):
+    """Similarities, points and weights of every group, then group distances and divergence."""
+    similarities = []
+    point_rows = []
+    weight_rows = []
+    notes = []
+    for e, d in enumerate(distances):
+        sm, po, cw, note = _analyze_group(d, tie_epsilon)
+        similarities.append(sm)
+        point_rows.append(po)
+        weight_rows.append(cw)
+        if note:
+            notes.append(f"{label}/{experts[e]}: {note}")
+    gd = group_distance_matrix(cross, np.array([cw.weights for cw in weight_rows]))
+    div = divergence_from_group_distances(gd)
+    return tuple(similarities), tuple(point_rows), tuple(weight_rows), tuple(notes), gd, div
+
+
 def _evaluate_alternative(
     label: str,
     panel: Panel,
     criteria: tuple[str, ...],
     experts: tuple[str, ...],
-    config: EvaluationConfig,
-) -> AlternativeReport:
-    n_experts = len(panel.groups)
+    configs: Sequence[EvaluationConfig],
+) -> tuple[AlternativeReport, ...]:
+    """One alternative's report under each config, in order.
+
+    Each stage runs once per distinct value of the config fields it reads,
+    and the reports share its results:
+
+    - information volume, reliability, distances: no field;
+    - similarities, points, weights, group distances, divergence:
+      tie_epsilon;
+    - credibility, attitude, sharpness, OWA weights: tie_epsilon and
+      credibility_floor;
+    - supports and their sorted series: split_strategy and dp_source;
+    - soft likelihoods and gross estimation: once per config.
+    """
     m = len(panel.groups[0])
 
     # information volume reads only the original judgments; checked first so
@@ -238,87 +280,100 @@ def _evaluate_alternative(
     )
     within = js_distance_matrices(triples)
     cross = js_distance_matrices(triples.swapaxes(1, 2)).transpose(1, 2, 0)
+    distances = tuple(DistanceMatrix(d) for d in within)
 
-    notes: list[str] = []
-    distances = []
-    similarities = []
-    point_rows = []
-    weight_rows = []
-    for e in range(n_experts):
-        d = DistanceMatrix(within[e])
-        sm, po, cw, note = _analyze_group(d, config.tie_epsilon)
-        distances.append(d)
-        similarities.append(sm)
-        point_rows.append(po)
-        weight_rows.append(cw)
-        if note:
-            notes.append(f"{label}/{experts[e]}: {note}")
+    weighed: dict[float, tuple] = {}
+    attitudes: dict[tuple[float, float], tuple] = {}
+    supports: dict[tuple[SplitStrategy, DpSource], tuple] = {}
+    reports = []
+    for config in configs:
+        eps = config.tie_epsilon
+        if eps not in weighed:
+            weighed[eps] = _weigh_groups(label, experts, distances, cross, eps)
+        similarities, point_rows, weight_rows, notes, gd, div = weighed[eps]
 
-    gd = group_distance_matrix(cross, np.array([cw.weights for cw in weight_rows]))
-    div = divergence_from_group_distances(gd)
-    cr = credibility(div, config.credibility_floor)
-    alpha = attitude_characters(iv, cr)
+        key = (eps, config.credibility_floor)
+        if key not in attitudes:
+            cr = credibility(div, config.credibility_floor)
+            alpha = attitude_characters(iv, cr)
+            sharps = tuple(sharpness(a) for a in alpha.values)
+            attitudes[key] = cr, alpha, sharps, tuple(owa_weights(m, s) for s in sharps)
+        cr, alpha, sharps, owas = attitudes[key]
 
-    sharps = tuple(sharpness(a) for a in alpha.values)
-    owas = tuple(owa_weights(m, s) for s in sharps)
-    support = tuple(
-        support_values(g, config.split_strategy, config.dp_source) for g in panel.groups
-    )
-    series = tuple(
-        dp_values(g, config.split_strategy, config.dp_source) for g in panel.groups
-    )
-    per_expert = np.array([dslf(s, w) for s, w in zip(series, owas)])
-    per_expert.setflags(write=False)
-    ge = gross_estimation(per_expert)
+        key = (config.split_strategy, config.dp_source)
+        if key not in supports:
+            # the combined groups already hold combine(to_z(item)), the
+            # judgments that support_values rebuilds for DpSource.COMBINED
+            source = combined if config.dp_source is DpSource.COMBINED else panel.groups
+            support = tuple(support_values(g, config.split_strategy) for g in source)
+            supports[key] = support, tuple(likelihood_series(s) for s in support)
+        support, series = supports[key]
 
-    return AlternativeReport(
-        label=label,
-        z_table=z_table,
-        combined=combined,
-        distances=tuple(distances),
-        similarities=tuple(similarities),
-        points=tuple(point_rows),
-        weights=tuple(weight_rows),
-        group_distances=gd,
-        divergence=div,
-        credibility=cr,
-        info_volume=iv,
-        attitude=alpha,
-        sharpness=sharps,
-        owa=owas,
-        support=support,
-        series=series,
-        dslf=per_expert,
-        gross_estimation=ge,
-        degeneracies=tuple(notes),
-    )
+        per_expert = np.array([dslf(s, w) for s, w in zip(series, owas)])
+        per_expert.setflags(write=False)
+        reports.append(
+            AlternativeReport(
+                label=label,
+                z_table=z_table,
+                combined=combined,
+                distances=distances,
+                similarities=similarities,
+                points=point_rows,
+                weights=weight_rows,
+                group_distances=gd,
+                divergence=div,
+                credibility=cr,
+                info_volume=iv,
+                attitude=alpha,
+                sharpness=sharps,
+                owa=owas,
+                support=support,
+                series=series,
+                dslf=per_expert,
+                gross_estimation=gross_estimation(per_expert),
+                degeneracies=notes,
+            )
+        )
+    return tuple(reports)
+
+
+def _evaluate_configs(
+    round_input: RoundInput, configs: Sequence[EvaluationConfig]
+) -> tuple[RoundReport, ...]:
+    """One round's report under each config, in order, from one pass per alternative."""
+    per_alternative = {
+        label: _evaluate_alternative(
+            label, panel, round_input.criteria_labels, round_input.expert_labels, configs
+        )
+        for label, panel in round_input.alternatives.items()
+    }
+    out = []
+    for k, config in enumerate(configs):
+        reports = {label: alt[k] for label, alt in per_alternative.items()}
+        ge = {label: r.gross_estimation for label, r in reports.items()}
+        degeneracies = tuple(
+            itertools.chain.from_iterable(reports[label].degeneracies for label in sorted(reports))
+        )
+        out.append(
+            RoundReport(
+                round_label=round_input.round_label,
+                criteria_labels=round_input.criteria_labels,
+                expert_labels=round_input.expert_labels,
+                config=config,
+                alternatives=reports,
+                ranking=rank(ge),
+                ties=ge_ties(ge),
+                degeneracies=degeneracies,
+            )
+        )
+    return tuple(out)
 
 
 def evaluate_round(round_input: RoundInput, config: EvaluationConfig | None = None) -> RoundReport:
     """Run the full chain on one round. Deterministic for identical inputs."""
     if config is None:
         config = EvaluationConfig()
-    reports: dict[str, AlternativeReport] = {}
-    for label, panel in round_input.alternatives.items():
-        reports[label] = _evaluate_alternative(
-            label, panel, round_input.criteria_labels, round_input.expert_labels, config
-        )
-    ge = {label: r.gross_estimation for label, r in reports.items()}
-    ranking = rank(ge)
-    ties = ge_ties(ge)
-    degeneracies = tuple(
-        itertools.chain.from_iterable(reports[label].degeneracies for label in sorted(reports))
-    )
-    return RoundReport(
-        round_label=round_input.round_label,
-        criteria_labels=round_input.criteria_labels,
-        expert_labels=round_input.expert_labels,
-        config=config,
-        alternatives=reports,
-        ranking=ranking,
-        ties=ties,
-        degeneracies=degeneracies,
-    )
+    return _evaluate_configs(round_input, (config,))[0]
 
 
 def evaluate_all(
@@ -330,7 +385,7 @@ def evaluate_all(
         try:
             out.append(evaluate_round(round_input, config))
         except Exception as exc:  # noqa: BLE001 - isolation is the contract here
-            out.append(RoundFailure(round_input.round_label, str(exc), type(exc).__name__))
+            out.append(RoundFailure.from_exception(round_input.round_label, exc))
     return tuple(out)
 
 
@@ -353,19 +408,22 @@ def compare_configs(
 ) -> tuple[ConfigOutcome, ...]:
     """Evaluate one round under several configurations side by side.
 
-    When a reference ranking is supplied, each outcome is flagged with
+    Every stage runs once per distinct value of the config fields it reads,
+    so the configurations share the work they have in common; each outcome
+    equals the one evaluate_round gives for its configuration alone. When a
+    reference ranking is supplied, each outcome is flagged with
     whether its ranking reproduces it exactly.
     """
+    configs = tuple(configs)
     if not configs:
         raise DomainError("compare_configs needs at least one configuration")
     reference = tuple(reference_ranking) if reference_ranking is not None else None
     outcomes = []
-    for config in configs:
-        report = evaluate_round(round_input, config)
+    for report in _evaluate_configs(round_input, configs):
         ge = {label: r.gross_estimation for label, r in report.alternatives.items()}
         outcomes.append(
             ConfigOutcome(
-                config=config,
+                config=report.config,
                 ranking=report.ranking,
                 gross_estimation=ge,
                 matches_reference=None if reference is None else report.ranking == reference,

@@ -136,12 +136,16 @@ def dp_values(
     strategy: SplitStrategy,
     source: DpSource = DpSource.ORIGINAL,
 ) -> LikelihoodSeries:
-    """Sorted support values of a group with cumulative products filled in.
+    """Sorted support values of a group with cumulative products filled in."""
+    return likelihood_series(support_values(group, strategy, source))
+
+
+def likelihood_series(dp: np.ndarray) -> LikelihoodSeries:
+    """Sort unsorted support values into a series with cumulative products.
 
     Sorting is strictly descending and stable, so tied values keep their
     original criterion order.
     """
-    dp = support_values(group, strategy, source)
     order = np.argsort(-dp, kind="stable")
     dp_sorted = dp[order]
     return LikelihoodSeries(dp_sorted, np.cumprod(dp_sorted))

@@ -1,10 +1,11 @@
-"""Hypothesis strategies for judgment data."""
+"""Hypothesis strategies and seeded generators for judgment data."""
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import strategies as st
 
-from panelrank import IFN, GroupAssessment, Panel
+from panelrank import IFN, GroupAssessment, Panel, RoundInput
 
 
 @st.composite
@@ -51,4 +52,35 @@ def divergence_vectors(min_size: int = 2, max_size: int = 6):
         st.integers(0, 10_000).map(lambda n: n / 10_000.0),
         min_size=min_size,
         max_size=max_size,
+    )
+
+
+def random_round(
+    rng: np.random.Generator, alternatives: int, experts: int, criteria: int, label: str = "synth"
+) -> RoundInput:
+    """A round of judgments on a 0.01 grid, with identical-judgment groups.
+
+    Each group draws its cells from a pool of three judgments, so exact
+    ties are common, and about one group in four repeats a single judgment
+    on every criterion, which takes the identical-judgment fallback.
+    """
+    labels = tuple(f"c{i}" for i in range(criteria))
+
+    def judgment() -> IFN:
+        mu = int(rng.integers(0, 101))
+        return IFN(mu / 100, int(rng.integers(0, 101 - mu)) / 100)
+
+    def group() -> GroupAssessment:
+        pool = [judgment() for _ in range(3)]
+        if rng.random() < 0.25:
+            return GroupAssessment((pool[0],) * criteria, labels)
+        return GroupAssessment(tuple(pool[k] for k in rng.integers(3, size=criteria)), labels)
+
+    return RoundInput(
+        round_label=label,
+        criteria_labels=labels,
+        expert_labels=tuple(f"E{k}" for k in range(experts)),
+        alternatives={
+            f"A{a}": Panel(tuple(group() for _ in range(experts))) for a in range(alternatives)
+        },
     )

@@ -223,6 +223,17 @@ def test_a_failing_round_does_not_stop_the_others(fixtures_dir, rounds, tmp_path
     assert capsys.readouterr().err.startswith(failure)
     assert len(series.read_text().splitlines()) == 1 + len(report.alternatives)
 
+    alone = _write_rounds(tmp_path / "good.json", [good])
+    assert cli_main(["compare-configs", alone]) == 0
+    expected = capsys.readouterr().out
+    assert cli_main(["compare-configs", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert "round wide" not in captured.out
+    assert captured.err.startswith(failure)
+    assert "(at A1/E1)" in captured.err
+    assert len(captured.err.splitlines()) == 1
+
 
 def test_console_script_is_installed(judgments):
     binary = shutil.which("panelrank")

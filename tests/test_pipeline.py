@@ -28,6 +28,7 @@ from panelrank import (
     evaluate_round,
     reference_config,
 )
+from strategies import random_round
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -181,6 +182,41 @@ def test_expert_permutation_equivariance(round1, report1):
         assert other.attitude.values == pytest.approx(
             alt.attitude.values[::-1], rel=1e-9
         )
+
+
+def _permute_criteria(round_input, order):
+    return RoundInput(
+        round_label=round_input.round_label,
+        criteria_labels=tuple(round_input.criteria_labels[i] for i in order),
+        expert_labels=round_input.expert_labels,
+        alternatives={
+            label: Panel(
+                tuple(
+                    GroupAssessment(
+                        tuple(g.items[i] for i in order), tuple(g.labels[i] for i in order)
+                    )
+                    for g in panel.groups
+                )
+            )
+            for label, panel in round_input.alternatives.items()
+        },
+    )
+
+
+def test_criterion_permutation_invariance(rounds):
+    rng = np.random.default_rng(8)
+    battery = list(rounds) + [random_round(rng, 4, 5, 8, label=f"s{k}") for k in range(5)]
+    for round_input in battery:
+        order = rng.permutation(len(round_input.criteria_labels))
+        shuffled = _permute_criteria(round_input, order)
+        for config in config_grid():
+            report = evaluate_round(round_input, config)
+            other = evaluate_round(shuffled, config)
+            assert other.ranking == report.ranking, (round_input.round_label, config)
+            for label, alt in report.alternatives.items():
+                assert other.alternatives[label].gross_estimation == pytest.approx(
+                    alt.gross_estimation, rel=1e-12
+                )
 
 
 def test_alternative_order_and_labels_do_not_matter(round1, report1):
