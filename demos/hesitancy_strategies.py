@@ -36,7 +36,7 @@ def group_supports(round_input) -> None:
     group = round_input.alternatives[label].groups[0]
     expert = round_input.expert_labels[0]
     print(f"support values for {label}, {expert} "
-          f"(criteria {', '.join(group.labels)}):")
+          f"(criteria {', '.join(round_input.criteria_labels)}):")
     for strategy in pr.SplitStrategy:
         values = pr.support_values(group, strategy)
         row = "  ".join(f"{v:+.4f}" for v in values)

@@ -26,10 +26,8 @@ from .core import (
     js_distances,
     mass_triples,
     reliability,
-    score,
     split_hesitancy,
     to_z,
-    validate,
 )
 from .credibility import (
     AttitudeVector,
@@ -140,9 +138,7 @@ __all__ = [
     "DegenerateError",
     "ParseError",
     "SchemaError",
-    "validate",
     "reliability",
-    "score",
     "to_z",
     "combine",
     "eifn",

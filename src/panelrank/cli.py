@@ -22,6 +22,7 @@ from .errors import (
     SchemaError,
 )
 from .io import (
+    _decode_utf8,
     config_from_dict,
     emit_report,
     emit_trace,
@@ -93,7 +94,7 @@ def _load_config(path: str | None) -> EvaluationConfig:
     if path is None:
         return EvaluationConfig()
     try:
-        doc = json.loads(Path(path).read_bytes().decode("utf-8"))
+        doc = json.loads(_decode_utf8(Path(path).read_bytes(), location=path))
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, location=f"{path}, line {exc.lineno}") from None
     return config_from_dict(doc)

@@ -4,10 +4,10 @@ An intuitionistic fuzzy number (IFN) is a pair (mu, nu) of membership and
 non-membership degrees with mu + nu <= 1. The remainder xi = 1 - mu - nu is
 the hesitancy, the mass the judge declined to commit either way. This module
 holds the atomic operations on single judgments: validation, the reliability
-and score summaries, the Z-number transform and its reliability-weighted
-combination, information volume, the Jensen-Shannon distance between two
-judgments (and its array form over whole stacks of judgment pairs), and the
-hesitancy split that turns a judgment into a signed support value.
+summary, the Z-number transform and its reliability-weighted combination,
+information volume, the Jensen-Shannon distance between two judgments (and
+its array form over whole stacks of judgment pairs), and the hesitancy split
+that turns a judgment into a signed support value.
 
 All types are immutable and all functions are pure, so values can be shared
 and evaluated in parallel freely.
@@ -74,29 +74,13 @@ class SplitStrategy(Enum):
     NONE = "none"
 
 
-def validate(mu: float, nu: float) -> IFN:
-    """Construct an IFN from raw components, raising DomainError if invalid."""
-    return IFN(float(mu), float(nu))
-
-
 def reliability(ifn: IFN) -> float:
     """Reliability of a judgment: (1 + mu)(1 - nu) / 2.
 
-    This is the summary the evaluation pipeline uses. It rewards committed
-    membership and penalizes committed non-membership, reaching 1 at (1, 0)
-    and 0 at (0, 1).
+    It rewards committed membership and penalizes committed non-membership,
+    reaching 1 at (1, 0) and 0 at (0, 1).
     """
     return 0.5 * (1.0 + ifn.mu) * (1.0 - ifn.nu)
-
-
-def score(ifn: IFN) -> float:
-    """Score of an IFN: (1 + xi)(1 - mu) / 2.
-
-    Exposed for API completeness. The pipeline itself uses reliability();
-    the two summaries answer different questions and are easy to confuse,
-    so both carry their formula in the name of transparency.
-    """
-    return 0.5 * (1.0 + ifn.hesitancy) * (1.0 - ifn.mu)
 
 
 def to_z(ifn: IFN) -> ZJudgment:

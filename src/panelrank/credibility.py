@@ -10,7 +10,7 @@ character that later drives the OWA weights.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,14 +26,9 @@ _FLOOR_EPS = 1e-12
 
 @dataclass(frozen=True)
 class Panel:
-    """All experts' groups for one alternative, plus their criterion weights.
-
-    weights stays None until the within-group chain has produced one
-    CriterionWeights per expert; operations that need them say so.
-    """
+    """All experts' groups for one alternative."""
 
     groups: tuple[GroupAssessment, ...]
-    weights: tuple[CriterionWeights, ...] | None = None
 
     def __post_init__(self):
         groups = tuple(self.groups)
@@ -43,16 +38,6 @@ class Panel:
         if any(len(g) != m for g in groups):
             raise LengthMismatchError("every expert must judge the same criteria")
         object.__setattr__(self, "groups", groups)
-        if self.weights is not None:
-            weights = tuple(self.weights)
-            if len(weights) != len(groups):
-                raise LengthMismatchError("one weight vector per expert required")
-            if any(len(w) != m for w in weights):
-                raise LengthMismatchError("weight vectors must cover every criterion")
-            object.__setattr__(self, "weights", weights)
-
-    def with_weights(self, weights: Sequence[CriterionWeights]) -> "Panel":
-        return Panel(self.groups, tuple(weights))
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,24 +64,23 @@ class CredibilityVector:
 
 @dataclass(frozen=True, eq=False)
 class InfoVolumeVector:
-    """Per-expert information volume: raw, exponentiated, and normalized."""
+    """Per-expert information volume: raw and normalized, with modified = exp(raw)."""
 
     raw: np.ndarray
-    modified: np.ndarray
     normalized: np.ndarray
+    modified: np.ndarray = field(init=False)
 
     def __post_init__(self):
         raw = np.asarray(self.raw, dtype=float)
-        modified = np.asarray(self.modified, dtype=float)
         normalized = np.asarray(self.normalized, dtype=float)
-        if not (raw.shape == modified.shape == normalized.shape) or raw.ndim != 1:
+        if raw.shape != normalized.shape or raw.ndim != 1:
             raise LengthMismatchError("info volume components must align")
         if np.any(~np.isfinite(raw)):
             raise DomainError("raw info volume must be finite")
+        with np.errstate(over="ignore"):
+            modified = np.exp(raw)
         if np.any(~np.isfinite(modified)) or np.any(modified <= 0.0):
             raise DomainError("modified info volume must be finite and positive")
-        if not np.allclose(modified, np.exp(raw), rtol=1e-9, atol=0.0):
-            raise DomainError("modified info volume must equal exp(raw)")
         if np.any(normalized <= 0.0) or abs(normalized.sum() - 1.0) > NORM_TOL:
             raise DomainError("normalized info volume must be positive and sum to 1")
         for a in (raw, modified, normalized):
@@ -117,7 +101,7 @@ class InfoVolumeVector:
         p = np.asarray(normalized, dtype=float)
         if p.ndim != 1 or np.any(~np.isfinite(p)) or np.any(p <= 0.0):
             raise DomainError("normalized shares must be positive and finite")
-        return cls(raw=np.log(p), modified=p.copy(), normalized=p / p.sum())
+        return cls(raw=np.log(p), normalized=p / p.sum())
 
     def __len__(self) -> int:
         return len(self.raw)
@@ -159,20 +143,22 @@ def group_distance(a: GroupAssessment, b: GroupAssessment, w: CriterionWeights) 
     return float(total)
 
 
-def expert_divergence(panel: Panel) -> np.ndarray:
+def expert_divergence(
+    groups: Sequence[GroupAssessment], weights: Sequence[CriterionWeights]
+) -> np.ndarray:
     """Each expert's total weighted distance to all other experts.
 
-    div[e] = sum over f != e of group_distance(group_e, group_f, weights_e),
+    div[e] = sum over f != e of group_distance(groups[e], groups[f], weights[e]),
     always from e's own criterion weights.
     """
-    if panel.weights is None:
-        raise DomainError("panel carries no criterion weights yet")
-    n = len(panel.groups)
+    n = len(groups)
+    if len(weights) != n:
+        raise LengthMismatchError("one weight vector per expert required")
     div = np.zeros(n)
     for e in range(n):
         for f in range(n):
             if f != e:
-                div[e] += group_distance(panel.groups[e], panel.groups[f], panel.weights[e])
+                div[e] += group_distance(groups[e], groups[f], weights[e])
     div.setflags(write=False)
     return div
 
@@ -245,13 +231,7 @@ def modified_info_volume(raw: Sequence[float]) -> InfoVolumeVector:
     if values.ndim != 1 or np.any(~np.isfinite(values)):
         raise DomainError("raw info volumes must be finite")
     shifted = np.exp(values - values.max())
-    with np.errstate(over="ignore"):  # an overflow is rejected by InfoVolumeVector
-        modified = np.exp(values)
-    return InfoVolumeVector(
-        raw=values.copy(),
-        modified=modified,
-        normalized=shifted / shifted.sum(),
-    )
+    return InfoVolumeVector(raw=values.copy(), normalized=shifted / shifted.sum())
 
 
 def attitude_characters(iv: InfoVolumeVector, cr: CredibilityVector) -> AttitudeVector:

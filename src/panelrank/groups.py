@@ -28,11 +28,10 @@ def _frozen(values) -> np.ndarray:
 class GroupAssessment:
     """One expert's ordered judgments over the criteria.
 
-    Labels default to x1..xM when not supplied.
+    The criteria are named by the round the group belongs to.
     """
 
     items: tuple[IFN, ...]
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         items = tuple(self.items)
@@ -41,14 +40,6 @@ class GroupAssessment:
         if any(not isinstance(i, IFN) for i in items):
             raise DomainError("group items must be IFNs")
         object.__setattr__(self, "items", items)
-        labels = tuple(str(l) for l in self.labels)
-        if not labels:
-            labels = tuple(f"x{i + 1}" for i in range(len(items)))
-        if len(labels) != len(items):
-            raise DomainError("one label per judgment required")
-        if len(set(labels)) != len(labels):
-            raise DomainError("criterion labels must be unique")
-        object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
         return len(self.items)

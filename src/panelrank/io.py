@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import IFN, ZJudgment, SplitStrategy, validate
+from .core import IFN, ZJudgment, SplitStrategy
 from .credibility import AttitudeVector, CredibilityVector, InfoVolumeVector, Panel
 from .errors import DomainError, ParseError, SchemaError
 from .groups import CriterionWeights, DistanceMatrix, GroupAssessment
@@ -129,13 +129,20 @@ def _number(value, loc):
     return float(value)
 
 
+def _decode_utf8(data: bytes, location: str | None = None) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not valid UTF-8: {exc}", location=location) from None
+
+
 def _parse_pair(value, loc) -> IFN:
     if not isinstance(value, list) or len(value) != 2:
         raise SchemaError("judgment must be a [membership, non-membership] pair", location=loc)
     mu = _number(value[0], loc)
     nu = _number(value[1], loc)
     try:
-        return validate(mu, nu)
+        return IFN(mu, nu)
     except DomainError as exc:
         raise DomainError(str(exc), location=loc) from None
 
@@ -153,6 +160,8 @@ def _parse_round(entry, loc) -> RoundInput:
         raise SchemaError("experts must be unique", location=loc)
     if len(experts) < 2:
         raise SchemaError("a round needs at least two experts", location=loc)
+    if len(criteria) < 2:
+        raise SchemaError("a round needs at least two criteria", location=loc)
 
     panels = {}
     for alt_label, matrix in alternatives.items():
@@ -171,7 +180,7 @@ def _parse_round(entry, loc) -> RoundInput:
             items = tuple(
                 _parse_pair(pair, f"{row_loc}, {criteria[i]}") for i, pair in enumerate(row)
             )
-            groups.append(GroupAssessment(items, tuple(criteria)))
+            groups.append(GroupAssessment(items))
         panels[alt_label] = Panel(tuple(groups))
     return RoundInput(
         round_label=label,
@@ -189,10 +198,7 @@ def parse_judgments(data: bytes | str) -> tuple[RoundInput, ...]:
     error names where in the file it happened.
     """
     if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"not valid UTF-8: {exc}") from None
+        data = _decode_utf8(data)
     try:
         doc = json.loads(data, object_pairs_hook=_no_duplicate_keys)
     except SchemaError:
@@ -334,13 +340,12 @@ def report_to_dict(report: RoundReport) -> dict:
     }
 
 
-def _alternative_from_dict(label: str, doc: Mapping, criteria: tuple[str, ...]) -> AlternativeReport:
+def _alternative_from_dict(label: str, doc: Mapping) -> AlternativeReport:
     z_table = tuple(
         tuple(ZJudgment(IFN(mu, nu), rel) for mu, nu, rel in row) for row in doc["z"]
     )
     combined = tuple(
-        GroupAssessment(tuple(IFN(mu, nu) for mu, nu in row), criteria)
-        for row in doc["combined"]
+        GroupAssessment(tuple(IFN(mu, nu) for mu, nu in row)) for row in doc["combined"]
     )
     return AlternativeReport(
         label=label,
@@ -357,16 +362,13 @@ def _alternative_from_dict(label: str, doc: Mapping, criteria: tuple[str, ...]) 
         credibility=CredibilityVector(np.array(doc["credibility"])),
         info_volume=InfoVolumeVector(
             raw=np.array(doc["info_volume"]["raw"]),
-            modified=np.array(doc["info_volume"]["modified"]),
             normalized=np.array(doc["info_volume"]["normalized"]),
         ),
         attitude=AttitudeVector(np.array(doc["attitude"])),
         sharpness=tuple(Sharpness(p) for p in doc["sharpness"]),
         owa=tuple(OwaWeights(np.array(w)) for w in doc["owa"]),
         support=tuple(np.array(s) for s in doc["support"]),
-        series=tuple(
-            LikelihoodSeries(np.array(s["dp"]), np.array(s["partials"])) for s in doc["series"]
-        ),
+        series=tuple(LikelihoodSeries(np.array(s["dp"])) for s in doc["series"]),
         dslf=np.array(doc["dslf"]),
         gross_estimation=float(doc["gross_estimation"]),
         degeneracies=tuple(doc["degeneracies"]),
@@ -374,15 +376,18 @@ def _alternative_from_dict(label: str, doc: Mapping, criteria: tuple[str, ...]) 
 
 
 def report_from_dict(doc: Mapping) -> RoundReport:
-    """Rebuild a RoundReport from its dict form (inverse of report_to_dict)."""
-    criteria = tuple(doc["criteria_labels"])
+    """Rebuild a RoundReport from its dict form (inverse of report_to_dict).
+
+    The derived info_volume.modified and series[].partials are recomputed,
+    not read.
+    """
     return RoundReport(
         round_label=doc["round_label"],
-        criteria_labels=criteria,
+        criteria_labels=tuple(doc["criteria_labels"]),
         expert_labels=tuple(doc["expert_labels"]),
         config=config_from_dict(doc["config"]),
         alternatives={
-            label: _alternative_from_dict(label, alt, criteria)
+            label: _alternative_from_dict(label, alt)
             for label, alt in doc["alternatives"].items()
         },
         ranking=tuple(doc["ranking"]),
@@ -490,7 +495,7 @@ def emit_trace(reports: Sequence[RoundReport]) -> bytes:
 def read_trace(data: bytes | str) -> tuple[TraceRecord, ...]:
     """Parse a trace CSV back into records (inverse of emit_trace)."""
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        data = _decode_utf8(data)
     reader = csv.reader(_io.StringIO(data))
     try:
         header = tuple(next(reader))

@@ -104,8 +104,8 @@ class RoundInput:
             raise DomainError(f"round {self.round_label!r} has no alternatives")
         m = len(self.criteria_labels)
         e = len(self.expert_labels)
-        if len(set(self.criteria_labels)) != m:
-            raise DomainError("criteria labels must be unique")
+        if len(set(self.criteria_labels)) != m or m < 2:
+            raise DomainError("criteria labels must be unique, two or more")
         if len(set(self.expert_labels)) != e or e < 2:
             raise DomainError("expert labels must be unique, two or more")
         for label, panel in self.alternatives.items():
@@ -236,7 +236,6 @@ def _weigh_groups(
 def _evaluate_alternative(
     label: str,
     panel: Panel,
-    criteria: tuple[str, ...],
     experts: tuple[str, ...],
     configs: Sequence[EvaluationConfig],
 ) -> tuple[AlternativeReport, ...]:
@@ -269,9 +268,7 @@ def _evaluate_alternative(
     iv = modified_info_volume(raw_iv)
 
     z_table = tuple(tuple(to_z(item) for item in g.items) for g in panel.groups)
-    combined = tuple(
-        GroupAssessment(tuple(combine(z) for z in row), criteria) for row in z_table
-    )
+    combined = tuple(GroupAssessment(tuple(combine(z) for z in row)) for row in z_table)
 
     # every within-group pair in one kernel call, within[e, i, j], and every
     # cross-expert pair in another, cross[e, f, i]
@@ -302,8 +299,6 @@ def _evaluate_alternative(
 
         key = (config.split_strategy, config.dp_source)
         if key not in supports:
-            # the combined groups already hold combine(to_z(item)), the
-            # judgments that support_values rebuilds for DpSource.COMBINED
             source = combined if config.dp_source is DpSource.COMBINED else panel.groups
             support = tuple(support_values(g, config.split_strategy) for g in source)
             supports[key] = support, tuple(likelihood_series(s) for s in support)
@@ -342,9 +337,7 @@ def _evaluate_configs(
 ) -> tuple[RoundReport, ...]:
     """One round's report under each config, in order, from one pass per alternative."""
     per_alternative = {
-        label: _evaluate_alternative(
-            label, panel, round_input.criteria_labels, round_input.expert_labels, configs
-        )
+        label: _evaluate_alternative(label, panel, round_input.expert_labels, configs)
         for label, panel in round_input.alternatives.items()
     }
     out = []

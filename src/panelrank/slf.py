@@ -12,12 +12,12 @@ alternatives are ranked by it.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .core import SplitStrategy, combine, split_hesitancy, to_z
+from .core import SplitStrategy, split_hesitancy
 from .errors import DomainError, LengthMismatchError
 from .groups import GroupAssessment
 
@@ -67,19 +67,17 @@ class LikelihoodSeries:
     """Support values sorted descending, with their cumulative products."""
 
     dp: np.ndarray
-    partials: np.ndarray
+    partials: np.ndarray = field(init=False)
 
     def __post_init__(self):
         dp = np.asarray(self.dp, dtype=float)
-        partials = np.asarray(self.partials, dtype=float)
-        if dp.ndim != 1 or len(dp) < 1 or dp.shape != partials.shape:
-            raise LengthMismatchError("dp and partials must be flat and aligned")
+        if dp.ndim != 1 or len(dp) < 1:
+            raise DomainError("support values must be a non-empty flat sequence")
         if np.any(np.abs(dp) > 1.0 + 1e-9):
             raise DomainError("support values must lie in [-1, 1]")
         if np.any(np.diff(dp) > 0.0):
             raise DomainError("support values must be sorted descending")
-        if not np.allclose(partials, np.cumprod(dp), rtol=1e-9, atol=1e-12):
-            raise DomainError("partials must be the cumulative products of dp")
+        partials = np.cumprod(dp)
         for a in (dp, partials):
             a.setflags(write=False)
         object.__setattr__(self, "dp", dp)
@@ -109,20 +107,14 @@ def owa_weights(k: int, s: Sharpness) -> OwaWeights:
     return OwaWeights(np.diff(grid))
 
 
-def support_values(
-    group: GroupAssessment,
-    strategy: SplitStrategy,
-    source: DpSource = DpSource.ORIGINAL,
-) -> np.ndarray:
+def support_values(group: GroupAssessment, strategy: SplitStrategy) -> np.ndarray:
     """Unsorted support values dp = mu' - nu', one per criterion in order.
 
-    The group's judgments are optionally replaced by their reliability
-    combination first, then the hesitancy split of the chosen strategy is
-    applied and the signed margin taken.
+    The hesitancy split of the chosen strategy is applied to each judgment
+    and the signed margin taken. For supports of the combined judgments,
+    pass the group of combine(to_z(item)).
     """
     items = group.items
-    if source is DpSource.COMBINED:
-        items = tuple(combine(to_z(item)) for item in items)
     out = np.empty(len(items))
     for i, item in enumerate(items):
         mu2, nu2 = split_hesitancy(item, strategy)
@@ -131,13 +123,9 @@ def support_values(
     return out
 
 
-def dp_values(
-    group: GroupAssessment,
-    strategy: SplitStrategy,
-    source: DpSource = DpSource.ORIGINAL,
-) -> LikelihoodSeries:
+def dp_values(group: GroupAssessment, strategy: SplitStrategy) -> LikelihoodSeries:
     """Sorted support values of a group with cumulative products filled in."""
-    return likelihood_series(support_values(group, strategy, source))
+    return likelihood_series(support_values(group, strategy))
 
 
 def likelihood_series(dp: np.ndarray) -> LikelihoodSeries:
@@ -147,8 +135,7 @@ def likelihood_series(dp: np.ndarray) -> LikelihoodSeries:
     original criterion order.
     """
     order = np.argsort(-dp, kind="stable")
-    dp_sorted = dp[order]
-    return LikelihoodSeries(dp_sorted, np.cumprod(dp_sorted))
+    return LikelihoodSeries(dp[order])
 
 
 def dslf(series: LikelihoodSeries, w: OwaWeights) -> float:

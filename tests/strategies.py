@@ -73,8 +73,8 @@ def random_round(
     def group() -> GroupAssessment:
         pool = [judgment() for _ in range(3)]
         if rng.random() < 0.25:
-            return GroupAssessment((pool[0],) * criteria, labels)
-        return GroupAssessment(tuple(pool[k] for k in rng.integers(3, size=criteria)), labels)
+            return GroupAssessment((pool[0],) * criteria)
+        return GroupAssessment(tuple(pool[k] for k in rng.integers(3, size=criteria)))
 
     return RoundInput(
         round_label=label,

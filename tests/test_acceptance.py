@@ -412,7 +412,7 @@ def _battery_dslf(rng):
     bad = 0
     for row in dps:
         dp = np.sort(row)[::-1]
-        series = LikelihoodSeries(dp, np.cumprod(dp))
+        series = LikelihoodSeries(dp)
         if dslf(series, firsts) != dp[0]:
             bad += 1
             continue
@@ -429,7 +429,7 @@ def _random_round(rng, label):
     def group():
         mu = rng.uniform(0.0, 1.0, criteria)
         nu = rng.uniform(0.0, 1.0, criteria) * (1.0 - mu)
-        return GroupAssessment(tuple(IFN(m, v) for m, v in zip(mu, nu)), names)
+        return GroupAssessment(tuple(IFN(m, v) for m, v in zip(mu, nu)))
 
     return RoundInput(
         round_label=label,

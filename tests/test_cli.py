@@ -80,6 +80,15 @@ def test_malformed_config_exits_one(judgments, tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+def test_non_utf8_config_exits_one_with_its_path(judgments, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_bytes(b"\xff\xfe{}")
+    assert cli_main(["evaluate", judgments, "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: not valid UTF-8")
+    assert str(config) in err
+
+
 @pytest.mark.parametrize(
     "name,needle",
     [
@@ -233,6 +242,20 @@ def test_a_failing_round_does_not_stop_the_others(fixtures_dir, rounds, tmp_path
     assert captured.err.startswith(failure)
     assert "(at A1/E1)" in captured.err
     assert len(captured.err.splitlines()) == 1
+
+
+def test_single_criterion_round_exits_one_with_its_location(tmp_path, capsys):
+    round_doc = {
+        "round_label": "r1",
+        "criteria_labels": ["x1"],
+        "experts": ["E1", "E2"],
+        "alternatives": {"A": [[[0.6, 0.2]], [[0.5, 0.4]]]},
+    }
+    path = _write_rounds(tmp_path / "narrow.json", [round_doc])
+    assert cli_main(["evaluate", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a round needs at least two criteria (at rounds[0])\n"
 
 
 def test_console_script_is_installed(judgments):

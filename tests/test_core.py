@@ -17,10 +17,8 @@ from panelrank import (
     eifn,
     js_distance,
     reliability,
-    score,
     split_hesitancy,
     to_z,
-    validate,
 )
 from oracles.distance import js_oracle
 from strategies import ifns
@@ -68,13 +66,9 @@ def test_ifn_rejects_invalid_components(mu, nu):
 
 def test_ifn_sum_tolerance_absorbs_decimal_rounding():
     # a whisker over 1 from decimal inputs is fine, a real violation is not
-    assert validate(0.5, 0.5 + 1e-10).nu > 0.5
+    assert IFN(0.5, 0.5 + 1e-10).nu > 0.5
     with pytest.raises(DomainError):
-        validate(0.5, 0.5 + 1e-6)
-
-
-def test_validate_returns_equal_ifn():
-    assert validate(0.3, 0.4) == IFN(0.3, 0.4)
+        IFN(0.5, 0.5 + 1e-6)
 
 
 def test_zjudgment_rejects_out_of_range_reliability():
@@ -102,15 +96,9 @@ def test_reliability_known_values(mu, nu, expected):
     assert reliability(IFN(mu, nu)) == pytest.approx(expected, abs=1e-12)
 
 
-def test_score_known_value():
-    # xi = 0.2: (1 + 0.2)(1 - 0.5) / 2
-    assert score(IFN(0.5, 0.3)) == pytest.approx(0.30, abs=1e-12)
-
-
 @given(ifns())
 def test_summaries_stay_in_unit_interval(a):
     assert 0.0 <= reliability(a) <= 1.0
-    assert 0.0 <= score(a) <= 1.0 + 1e-12
 
 
 @given(ifns())

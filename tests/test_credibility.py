@@ -45,17 +45,6 @@ def test_panel_rejects_ragged_groups():
         Panel((a, b))
 
 
-def test_panel_with_weights_checks_alignment():
-    g = GroupAssessment((IFN(0.5, 0.2), IFN(0.3, 0.3)))
-    p = Panel((g, g))
-    w = CriterionWeights(np.array([0.5, 0.5]))
-    assert p.with_weights((w, w)).weights == (w, w)
-    with pytest.raises(LengthMismatchError):
-        p.with_weights((w,))
-    with pytest.raises(LengthMismatchError):
-        p.with_weights((w, CriterionWeights(np.array([1.0]))))
-
-
 def test_credibility_vector_validation():
     with pytest.raises(DomainError):
         CredibilityVector(np.array([0.5, 0.4]))
@@ -66,18 +55,20 @@ def test_credibility_vector_validation():
 
 
 def test_info_volume_vector_consistency_checks():
-    with pytest.raises(DomainError):
-        InfoVolumeVector(
-            raw=np.array([1.0, 2.0]),
-            modified=np.array([1.0, 2.0]),
-            normalized=np.array([0.5, 0.5]),
-        )
     with pytest.raises(LengthMismatchError):
         InfoVolumeVector(
             raw=np.array([1.0, 2.0]),
-            modified=np.exp([1.0, 2.0]),
             normalized=np.array([1.0]),
         )
+
+
+def test_info_volume_modified_is_derived_from_raw():
+    raw = np.array([8.5376, 8.9641, 9.1858])
+    iv = InfoVolumeVector(raw=raw, normalized=np.array([0.25, 0.25, 0.5]))
+    assert np.array_equal(iv.modified, np.exp(raw))
+    assert not iv.modified.flags.writeable
+    with pytest.raises(DomainError):
+        InfoVolumeVector(raw=np.array([1.0, 1e4]), normalized=np.array([0.5, 0.5]))
 
 
 def test_info_volume_from_normalized_renormalizes():
@@ -127,8 +118,7 @@ def test_expert_divergence_sums_rows():
     b = GroupAssessment((IFN(0.5, 0.4), IFN(0.2, 0.6)))
     c = GroupAssessment((IFN(0.1, 0.8), IFN(0.4, 0.1)))
     w = CriterionWeights(np.array([0.5, 0.5]))
-    panel = Panel((a, b, c), (w, w, w))
-    div = expert_divergence(panel)
+    div = expert_divergence((a, b, c), (w, w, w))
     assert div[0] == pytest.approx(
         group_distance(a, b, w) + group_distance(a, c, w), abs=1e-15
     )
@@ -137,10 +127,13 @@ def test_expert_divergence_sums_rows():
     )
 
 
-def test_expert_divergence_requires_weights():
+def test_expert_divergence_rejects_misaligned_weights():
     g = GroupAssessment((IFN(0.5, 0.2), IFN(0.3, 0.3)))
-    with pytest.raises(DomainError):
-        expert_divergence(Panel((g, g)))
+    w = CriterionWeights(np.array([0.5, 0.5]))
+    with pytest.raises(LengthMismatchError):
+        expert_divergence((g, g), (w,))
+    with pytest.raises(LengthMismatchError):
+        expert_divergence((g, g), (w, CriterionWeights(np.array([1.0]))))
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,7 @@ def test_pipeline_distances_equal_the_scalar_oracles(rows):
         for b in range(e):
             expected = group_distance(groups[a], groups[b], report.weights[a]) if a != b else 0.0
             assert report.group_distances[a, b] == expected
-    assert np.array_equal(report.divergence, expert_divergence(Panel(groups, report.weights)))
+    assert np.array_equal(report.divergence, expert_divergence(groups, report.weights))
 
 
 def test_kernel_at_the_largest_panel_with_every_special_value():

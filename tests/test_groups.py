@@ -29,19 +29,6 @@ from strategies import groups, similarity_vectors
 # group assessments
 
 
-def test_group_default_labels():
-    g = GroupAssessment((IFN(0.5, 0.2), IFN(0.3, 0.3)))
-    assert g.labels == ("x1", "x2")
-    assert len(g) == 2
-
-
-def test_group_explicit_labels_must_align():
-    with pytest.raises(DomainError):
-        GroupAssessment((IFN(0.5, 0.2),), ("a", "b"))
-    with pytest.raises(DomainError):
-        GroupAssessment((IFN(0.5, 0.2), IFN(0.3, 0.3)), ("a", "a"))
-
-
 def test_group_rejects_empty_and_non_ifn_items():
     with pytest.raises(DomainError):
         GroupAssessment(())

@@ -6,6 +6,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -122,6 +123,14 @@ def test_parse_rejects_duplicate_round_labels():
     doc = json.loads(_doc())
     doc["rounds"].append(doc["rounds"][0])
     with pytest.raises(SchemaError, match=r"duplicate round_label 'r1' \(at rounds\[1\]\)"):
+        parse_judgments(json.dumps(doc))
+
+
+def test_parse_requires_two_criteria():
+    doc = json.loads(_doc())
+    doc["rounds"][0]["criteria_labels"] = ["x1"]
+    doc["rounds"][0]["alternatives"]["A"] = [[[0.6, 0.2]], [[0.5, 0.4]]]
+    with pytest.raises(SchemaError, match=r"two criteria \(at rounds\[0\]\)"):
         parse_judgments(json.dumps(doc))
 
 
@@ -247,6 +256,25 @@ def test_identical_judgments_serialize_to_standard_json():
     assert report_to_dict(rebuilt) == doc
 
 
+def test_report_from_dict_recomputes_derived_fields(report1):
+    doc = report_to_dict(report1)
+    rebuilt = report_from_dict(doc)
+    for alt in rebuilt.alternatives.values():
+        iv = alt.info_volume
+        assert np.array_equal(iv.modified, np.exp(iv.raw))
+        assert not iv.modified.flags.writeable
+        for series in alt.series:
+            assert np.array_equal(series.partials, np.cumprod(series.dp))
+            assert not series.partials.flags.writeable
+    # the derived keys are written but never read back
+    stripped = json.loads(json.dumps(doc))
+    for alt in stripped["alternatives"].values():
+        del alt["info_volume"]["modified"]
+        for series in alt["series"]:
+            del series["partials"]
+    assert report_to_dict(report_from_dict(stripped)) == doc
+
+
 def test_report_from_dict_restores_ranking(report1):
     rebuilt = report_from_dict(report_to_dict(report1))
     assert rebuilt.ranking == report1.ranking
@@ -351,6 +379,8 @@ def test_read_trace_diagnoses_bad_input():
     header = ",".join(TRACE_HEADER)
     with pytest.raises(ParseError, match="line 2"):
         read_trace(header + "\na,b,c\n")
+    with pytest.raises(ParseError, match="not valid UTF-8"):
+        read_trace(b"\xff\xfe")
 
 
 # ---------------------------------------------------------------------------

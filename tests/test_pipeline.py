@@ -33,8 +33,8 @@ from strategies import random_round
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-def _group(pairs, labels):
-    return GroupAssessment(tuple(IFN(mu, nu) for mu, nu in pairs), labels)
+def _group(pairs):
+    return GroupAssessment(tuple(IFN(mu, nu) for mu, nu in pairs))
 
 
 def _round(alternatives, criteria=("x1", "x2"), experts=("E1", "E2")):
@@ -43,7 +43,7 @@ def _round(alternatives, criteria=("x1", "x2"), experts=("E1", "E2")):
         criteria_labels=criteria,
         expert_labels=experts,
         alternatives={
-            label: Panel(tuple(_group(row, criteria[: len(row)]) for row in rows))
+            label: Panel(tuple(_group(row) for row in rows))
             for label, rows in alternatives.items()
         },
     )
@@ -100,6 +100,11 @@ def test_round_input_rejects_duplicate_labels():
         _round(rows, criteria=("x1", "x1"))
     with pytest.raises(DomainError):
         _round(rows, experts=("E1", "E1"))
+
+
+def test_round_input_rejects_a_single_criterion():
+    with pytest.raises(DomainError, match="two or more"):
+        _round({"A": [[(0.5, 0.2)], [(0.4, 0.4)]]}, criteria=("x1",))
 
 
 def test_round_input_rejects_empty_alternatives():
@@ -192,9 +197,7 @@ def _permute_criteria(round_input, order):
         alternatives={
             label: Panel(
                 tuple(
-                    GroupAssessment(
-                        tuple(g.items[i] for i in order), tuple(g.labels[i] for i in order)
-                    )
+                    GroupAssessment(tuple(g.items[i] for i in order))
                     for g in panel.groups
                 )
             )
@@ -262,24 +265,13 @@ def test_identical_alternatives_tie_and_rank_lexicographically():
 
 
 def test_evaluate_all_isolates_failing_rounds(rounds):
-    lonely = RoundInput(
-        round_label="solo",
-        criteria_labels=("x1",),
-        expert_labels=("E1", "E2"),
-        alternatives={
-            "A": Panel(
-                (
-                    _group([(0.5, 0.2)], ("x1",)),
-                    _group([(0.4, 0.4)], ("x1",)),
-                )
-            )
-        },
-    )
-    results = evaluate_all([rounds[0], lonely])
+    # 400 judgments of log2(5) bits each: the information volume overflows
+    wide = _round({"A": [[(0.2, 0.2)] * 400] * 2}, criteria=tuple(f"x{i}" for i in range(400)))
+    results = evaluate_all([rounds[0], wide])
     assert isinstance(results[0], RoundReport)
     assert isinstance(results[1], RoundFailure)
-    assert results[1].round_label == "solo"
-    assert "two judgments" in results[1].error
+    assert results[1].round_label == "t"
+    assert "overflows" in results[1].error
     assert results[1].error_type == "DomainError"
 
 

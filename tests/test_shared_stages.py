@@ -18,6 +18,9 @@ import pytest
 
 from conftest import FIXTURES
 from panelrank import (
+    DpSource,
+    GroupAssessment,
+    combine,
     compare_configs,
     config_grid,
     dp_values,
@@ -26,6 +29,7 @@ from panelrank import (
     ge_ties,
     parse_judgments,
     support_values,
+    to_z,
 )
 from panelrank.pipeline import _evaluate_configs
 from strategies import random_round
@@ -93,9 +97,9 @@ def test_pipeline_supports_equal_the_scalar_functions(round_input):
         for label, panel in round_input.alternatives.items():
             alt = report.alternatives[label]
             for group, support, series in zip(panel.groups, alt.support, alt.series):
-                expected = dp_values(group, config.split_strategy, config.dp_source)
-                assert np.array_equal(
-                    support, support_values(group, config.split_strategy, config.dp_source)
-                )
+                if config.dp_source is DpSource.COMBINED:
+                    group = GroupAssessment(tuple(combine(to_z(i)) for i in group.items))
+                expected = dp_values(group, config.split_strategy)
+                assert np.array_equal(support, support_values(group, config.split_strategy))
                 assert np.array_equal(series.dp, expected.dp)
                 assert np.array_equal(series.partials, expected.partials)

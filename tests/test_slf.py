@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from panelrank import (
     IFN,
     DomainError,
-    DpSource,
     GroupAssessment,
     LengthMismatchError,
     LikelihoodSeries,
     OwaWeights,
     Sharpness,
     SplitStrategy,
+    combine,
     dp_values,
     dslf,
     ge_ties,
@@ -26,6 +26,7 @@ from panelrank import (
     reliability,
     sharpness,
     support_values,
+    to_z,
 )
 from oracles.weights import owa_oracle
 from strategies import groups, ifns
@@ -115,8 +116,10 @@ def test_equal_and_none_splits_share_support_values(g):
 
 @given(groups())
 def test_combined_support_scales_by_reliability(g):
-    original = support_values(g, SplitStrategy.EQUAL, DpSource.ORIGINAL)
-    combined = support_values(g, SplitStrategy.EQUAL, DpSource.COMBINED)
+    original = support_values(g, SplitStrategy.EQUAL)
+    combined = support_values(
+        GroupAssessment(tuple(combine(to_z(i)) for i in g.items)), SplitStrategy.EQUAL
+    )
     expected = [reliability(i) * (i.mu - i.nu) for i in g.items]
     assert combined == pytest.approx(expected, abs=1e-12)
     assert np.all(np.abs(combined) <= np.abs(original) + 1e-12)
@@ -132,45 +135,43 @@ def test_dp_values_sorted_with_partials(g):
 
 def test_likelihood_series_validation():
     with pytest.raises(DomainError):
-        LikelihoodSeries(np.array([0.2, 0.5]), np.array([0.2, 0.1]))
+        LikelihoodSeries(np.array([0.2, 0.5]))
     with pytest.raises(DomainError):
-        LikelihoodSeries(np.array([0.5, 0.2]), np.array([0.5, 0.2]))
-    with pytest.raises(DomainError):
-        LikelihoodSeries(np.array([1.5]), np.array([1.5]))
-    with pytest.raises(LengthMismatchError):
-        LikelihoodSeries(np.array([0.5, 0.2]), np.array([0.5]))
+        LikelihoodSeries(np.array([1.5]))
+
+
+def test_likelihood_series_partials_are_derived_from_dp():
+    dp = np.array([0.6, 0.5, 0.4, 0.2, -0.2])
+    series = LikelihoodSeries(dp)
+    assert np.array_equal(series.partials, np.cumprod(dp))
+    assert not series.partials.flags.writeable
 
 
 # ---------------------------------------------------------------------------
 # soft likelihood
 
 
-def _series(dp):
-    dp = np.asarray(dp, dtype=float)
-    return LikelihoodSeries(dp, np.cumprod(dp))
-
-
 def test_dslf_reference_value():
-    series = _series([0.6, 0.5, 0.4, 0.2, -0.2])
+    series = LikelihoodSeries([0.6, 0.5, 0.4, 0.2, -0.2])
     assert series.partials == pytest.approx([0.6, 0.30, 0.12, 0.024, -0.0048], abs=1e-12)
     value = dslf(series, owa_weights(5, Sharpness(3.6189)))
     assert value == pytest.approx(0.030579253618, abs=1e-9)
 
 
 def test_dslf_first_position_weight_selects_max():
-    series = _series([0.7, 0.4, 0.1])
+    series = LikelihoodSeries([0.7, 0.4, 0.1])
     assert dslf(series, OwaWeights(np.array([1.0, 0.0, 0.0]))) == 0.7
 
 
 def test_dslf_last_position_weight_selects_full_product():
-    series = _series([0.7, 0.4, 0.1])
+    series = LikelihoodSeries([0.7, 0.4, 0.1])
     full = dslf(series, OwaWeights(np.array([0.0, 0.0, 1.0])))
     assert full == pytest.approx(0.7 * 0.4 * 0.1, abs=1e-15)
 
 
 @given(st.lists(st.integers(-99, 99).map(lambda n: n / 100.0), min_size=1, max_size=8))
 def test_dslf_limit_weights_bracket_any_series(dp):
-    series = _series(sorted(dp, reverse=True))
+    series = LikelihoodSeries(sorted(dp, reverse=True))
     k = len(series)
     first = np.zeros(k)
     first[0] = 1.0
@@ -184,7 +185,7 @@ def test_dslf_limit_weights_bracket_any_series(dp):
 
 def test_dslf_checks_lengths():
     with pytest.raises(LengthMismatchError):
-        dslf(_series([0.5, 0.2]), OwaWeights(np.array([1.0])))
+        dslf(LikelihoodSeries([0.5, 0.2]), OwaWeights(np.array([1.0])))
 
 
 # ---------------------------------------------------------------------------
