@@ -127,7 +127,7 @@ def test_expert_divergence_sums_rows():
     )
 
 
-def test_expert_divergence_rejects_misaligned_weights():
+def test_expert_divergence_requires_weights():
     g = GroupAssessment((IFN(0.5, 0.2), IFN(0.3, 0.3)))
     w = CriterionWeights(np.array([0.5, 0.5]))
     with pytest.raises(LengthMismatchError):
