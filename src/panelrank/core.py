@@ -27,6 +27,12 @@ SUM_TOL = 1e-9  # slack on mu + nu <= 1, absorbs decimal input rounding
 
 _CARDINALITY = 3  # the hesitancy term spreads over {mu, nu, xi}
 
+# A Jensen-Shannon term x log(2x / (x + y)) takes its log as log1p(q) of the
+# offset q = (x - y) / (x + y) while |q| is below this, and as the log of the
+# ratio elsewhere. Near q = 0 the log magnifies the ratio's rounding error, and
+# near q = -1 log1p magnifies q's; at |q| = 1/2 each costs about an ulp.
+_LOG1P_BELOW = 0.5
+
 
 @dataclass(frozen=True)
 class IFN:
@@ -117,26 +123,30 @@ def eifn(ifn: IFN) -> float:
 
 
 def _jterm(x: float, y: float) -> float:
-    # x log(2x / (x + y)), taken as 0 when x = 0 or x + y = 0 (limit value).
-    if x <= 0.0 or x + y <= 0.0:
+    # x log(2x / (x + y)), taken as 0 when x <= 0 or x + y <= 0 (limit value),
+    # with the log split at _LOG1P_BELOW
+    s = x + y
+    if x <= 0.0 or s <= 0.0:
         return 0.0
-    return x * math.log(2.0 * x / (x + y))
+    q = (x - y) / s
+    if abs(q) < _LOG1P_BELOW:
+        return x * math.log1p(q)
+    return x * math.log(2.0 * x / s)
 
 
 def js_distance(a: IFN, b: IFN) -> float:
     """Jensen-Shannon distance between the (mu, nu, xi) mass triples.
 
     The square root of half the sum of the six divergence terms, in natural
-    log form. Symmetric, zero exactly when a == b, and bounded by
-    sqrt(ln 2) < 1.
+    log form. Each component's two terms are added first, so swapping a and
+    b gives the same value bit for bit. Zero exactly when a == b, bounded by
+    sqrt(ln 2) < 1, and within 1e-15 of the exact distance.
     """
-    total = 0.0
-    for x, y in (
-        (a.mu, b.mu),
-        (a.nu, b.nu),
-        (a.hesitancy, b.hesitancy),
-    ):
-        total += _jterm(x, y) + _jterm(y, x)
+    total = (
+        (_jterm(a.mu, b.mu) + _jterm(b.mu, a.mu))
+        + (_jterm(a.nu, b.nu) + _jterm(b.nu, a.nu))
+        + (_jterm(a.hesitancy, b.hesitancy) + _jterm(b.hesitancy, a.hesitancy))
+    )
     # total can dip a hair below zero for identical triples
     return math.sqrt(max(0.5 * total, 0.0))
 
@@ -152,23 +162,26 @@ def js_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Jensen-Shannon distances between aligned stacks of mass triples.
 
     a and b have shape [3, ...] with (mu, nu, xi) along the first axis, as
-    built by mass_triples; the result has the trailing shape. Every entry
-    equals js_distance of the corresponding pair bit for bit: the logs come
-    from math.log (libm) in one batch over the defined terms, not from
-    numpy's vectorized log, which may differ in the last place, and the terms
-    are added in js_distance's order.
+    built by mass_triples; the result has the trailing shape. Each term takes
+    its log as js_distance does, log1p of the offset near x = y and log of
+    the ratio elsewhere, through numpy's vectorized log and log1p over the
+    whole term stack, and each component's two terms are added first, so
+    every entry is symmetric in a and b bit for bit and within 1e-15 of the
+    exact distance. It may differ from js_distance in the last place, where
+    numpy's log and libm's do.
     """
     x = np.concatenate((a, b))  # x[c] pairs with y[c]: terms t(a, b), then t(b, a)
     y = np.concatenate((b, a))
     s = x + y
     defined = (x > 0.0) & (s > 0.0)
-    xs = x[defined]
-    ratios = (2.0 * xs / s[defined]).tolist()
-    terms = np.zeros(x.shape)
-    terms[defined] = xs * np.fromiter(map(math.log, ratios), float, len(ratios))
-    total = 0.0 + (terms[0] + terms[3])  # from +0.0, as js_distance starts
-    total = total + (terms[1] + terms[4])
-    total = total + (terms[2] + terms[5])
+    s = np.where(defined, s, 1.0)
+    q = (x - y) / s
+    near = defined & (np.abs(q) < _LOG1P_BELOW)
+    # every log gets a safe argument; where its branch is not taken the
+    # argument is 0 for log1p and 1 for log, so the unused log is exactly 0
+    logs = np.log1p(np.where(near, q, 0.0)) + np.log(np.where(defined & ~near, 2.0 * x / s, 1.0))
+    terms = x * logs  # undefined terms: x * 0.0, a zero
+    total = (terms[0] + terms[3]) + (terms[1] + terms[4]) + (terms[2] + terms[5])
     return np.sqrt(np.maximum(0.5 * total, 0.0))
 
 
@@ -176,7 +189,7 @@ def js_distance_matrices(triples: np.ndarray) -> np.ndarray:
     """Distances between all pairs along the last axis of a [3, ..., k] stack.
 
     Returns [..., k, k]: symmetric, zero on the diagonal, each pair computed
-    once by js_distances and mirrored, which is exact since js_distance is
+    once by js_distances and mirrored, which is exact since js_distances is
     symmetric bit for bit.
     """
     k = triples.shape[-1]

@@ -83,6 +83,7 @@ class InfoVolumeVector:
             raise DomainError("modified info volume must be finite and positive")
         if np.any(normalized <= 0.0) or abs(normalized.sum() - 1.0) > NORM_TOL:
             raise DomainError("normalized info volume must be positive and sum to 1")
+        raw, normalized = raw.copy(), normalized.copy()
         for a in (raw, modified, normalized):
             a.setflags(write=False)
         object.__setattr__(self, "raw", raw)
@@ -168,14 +169,11 @@ def group_distance_matrix(cross: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
     cross[e, f, m] is the judgment distance between experts e and f on
     criterion m, weights[e, m] is expert e's weight for criterion m, and
-    gd[e, f] equals group_distance(group_e, group_f, weights_e). The
-    criterion sum runs as plain adds in criterion order, as in
-    group_distance, not through a reduction that reorders them, so the
-    entries are bit-identical.
+    gd[e, f] is group_distance(group_e, group_f, weights_e), summed over the
+    criteria in one reduction. Its order of adds may differ from
+    group_distance's, so the two agree to rounding, not bit for bit.
     """
-    gd = np.zeros(cross.shape[:2])
-    for m in range(cross.shape[2]):
-        gd += weights[:, m, None] * cross[:, :, m]
+    gd = np.einsum("efm,em->ef", cross, weights)
     gd.setflags(write=False)
     return gd
 
@@ -183,13 +181,10 @@ def group_distance_matrix(cross: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def divergence_from_group_distances(gd: np.ndarray) -> np.ndarray:
     """Row sums of a group distance matrix with a zero diagonal.
 
-    Adds in expert order, so the result equals expert_divergence of the
-    panel the matrix came from bit for bit (adding the zero diagonal entry
-    changes no sum).
+    The divergence expert_divergence gives for the panel the matrix came
+    from, to rounding: the zero diagonal entry adds nothing to a sum.
     """
-    div = np.zeros(gd.shape[0])
-    for f in range(gd.shape[1]):
-        div += gd[:, f]
+    div = gd.sum(axis=1)
     div.setflags(write=False)
     return div
 
@@ -231,7 +226,7 @@ def modified_info_volume(raw: Sequence[float]) -> InfoVolumeVector:
     if values.ndim != 1 or np.any(~np.isfinite(values)):
         raise DomainError("raw info volumes must be finite")
     shifted = np.exp(values - values.max())
-    return InfoVolumeVector(raw=values.copy(), normalized=shifted / shifted.sum())
+    return InfoVolumeVector(raw=values, normalized=shifted / shifted.sum())
 
 
 def attitude_characters(iv: InfoVolumeVector, cr: CredibilityVector) -> AttitudeVector:

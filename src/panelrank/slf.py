@@ -77,6 +77,7 @@ class LikelihoodSeries:
             raise DomainError("support values must lie in [-1, 1]")
         if np.any(np.diff(dp) > 0.0):
             raise DomainError("support values must be sorted descending")
+        dp = dp.copy()
         partials = np.cumprod(dp)
         for a in (dp, partials):
             a.setflags(write=False)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from panelrank import (
@@ -16,11 +16,13 @@ from panelrank import (
     combine,
     eifn,
     js_distance,
+    js_distances,
+    mass_triples,
     reliability,
     split_hesitancy,
     to_z,
 )
-from oracles.distance import js_oracle
+from oracles.distance import ORACLE_TOL, js_oracle
 from strategies import ifns
 
 
@@ -180,14 +182,24 @@ def test_js_distance_symmetric_and_bounded(a, b):
     assert 0.0 <= d <= math.sqrt(math.log(2.0)) + 1e-12
 
 
+def _kernel_distance(a: IFN, b: IFN) -> float:
+    return float(js_distances(mass_triples([a.mu], [a.nu]), mass_triples([b.mu], [b.nu]))[0])
+
+
 @given(ifns(), ifns())
 def test_js_distance_matches_independent_oracle(a, b):
-    # the oracle halves component pairs internally, which underflows to
-    # zero for subnormal inputs and reports inf where the true divergence
-    # is vanishingly small, so components stay clear of that range
-    components = (a.mu, a.nu, a.hesitancy, b.mu, b.nu, b.hesitancy)
-    assume(all(c == 0.0 or c > 1e-300 for c in components))
-    assert js_distance(a, b) == pytest.approx(js_oracle(a, b), abs=1e-10)
+    exact = js_oracle(a, b)
+    assert abs(js_distance(a, b) - exact) <= ORACLE_TOL
+    assert abs(_kernel_distance(a, b) - exact) <= ORACLE_TOL
+
+
+def test_js_distance_of_one_rounding_step_from_total_hesitancy():
+    # the exact value is sqrt(ln 2 * 2**-53); the libm ratio form gave 1.1509e-08
+    a, b = IFN(0.0, 0.0), IFN(0.0, 2.220446049250313e-16)
+    exact = 8.772388268377443e-09
+    assert js_oracle(a, b) == exact
+    assert abs(js_distance(a, b) - exact) <= ORACLE_TOL
+    assert abs(_kernel_distance(a, b) - exact) <= ORACLE_TOL
 
 
 @given(ifns(), ifns(), ifns())

@@ -71,6 +71,17 @@ def test_info_volume_modified_is_derived_from_raw():
         InfoVolumeVector(raw=np.array([1.0, 1e4]), normalized=np.array([0.5, 0.5]))
 
 
+def test_info_volume_vector_leaves_the_callers_arrays_writeable():
+    raw = np.array([1.0, 2.0])
+    normalized = np.array([0.25, 0.75])
+    iv = InfoVolumeVector(raw=raw, normalized=normalized)
+    assert raw.flags.writeable and normalized.flags.writeable
+    assert not (iv.raw.flags.writeable or iv.normalized.flags.writeable)
+    raw[0] = normalized[0] = 0.5
+    assert iv.raw.tolist() == [1.0, 2.0]
+    assert iv.normalized.tolist() == [0.25, 0.75]
+
+
 def test_info_volume_from_normalized_renormalizes():
     iv = InfoVolumeVector.from_normalized([0.2247, 0.4419, 0.3335])
     assert iv.normalized.sum() == pytest.approx(1.0, abs=1e-12)

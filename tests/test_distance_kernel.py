@@ -1,15 +1,22 @@
-"""Parity of the array distance kernel with the scalar distance functions.
+"""Accuracy of the array distance kernel and its agreement with the scalar path.
 
-The pipeline takes all its distances from js_distances and accumulates the
-group distances and divergences from those arrays. The scalar js_distance,
-pairwise_distances, group_distance and expert_divergence are the oracles.
-Every comparison here is exact (==): the kernel is meant to be bit-identical,
-not merely close.
+The pipeline takes all its distances from js_distances and reduces them to
+group distances and divergences with einsum and sum. Every distance, from
+the kernel and from the scalar js_distance alike, is held to the 50-digit
+decimal oracle within ORACLE_TOL. The kernel takes its logs from numpy and
+js_distance from libm, which may differ in the last place, so the two agree
+within that bound rather than bit for bit. group_distance and
+expert_divergence add the same terms in another order than the reductions,
+so they agree within a rounding bound set from the float epsilon and the
+number of terms added.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +25,7 @@ from panelrank import (
     GroupAssessment,
     Panel,
     RoundInput,
+    config_grid,
     evaluate_round,
     expert_divergence,
     group_distance,
@@ -27,7 +35,10 @@ from panelrank import (
     pairwise_distances,
 )
 from panelrank.core import SUM_TOL
+from oracles.distance import ORACLE_TOL, js_oracle
 from strategies import ifns
+
+EPS = np.finfo(float).eps
 
 # the corners of the judgment triangle, total hesitancy, an even split, and
 # mu + nu just inside the validation slack, which gives a negative hesitancy
@@ -82,22 +93,36 @@ def _scalar_pairwise(items) -> np.ndarray:
     return out
 
 
+def _assert_accurate(got, pairs, oracle=js_oracle):
+    """Kernel distances got, flattened, against the oracle and js_distance of pairs.
+
+    The kernel and js_distance are each within ORACLE_TOL of the oracle, and
+    within ORACLE_TOL of each other.
+    """
+    got = np.asarray(got).ravel()
+    exact = np.array([oracle(a, b) for a, b in pairs])
+    scalar = np.array([js_distance(a, b) for a, b in pairs])
+    np.testing.assert_allclose(got, exact, rtol=0.0, atol=ORACLE_TOL)
+    np.testing.assert_allclose(scalar, exact, rtol=0.0, atol=ORACLE_TOL)
+    np.testing.assert_allclose(got, scalar, rtol=0.0, atol=ORACLE_TOL)
+
+
 @settings(max_examples=40)
 @given(judgment_grids())
-def test_kernel_equals_js_distance_on_every_pair(rows):
+def test_kernel_matches_oracle_and_js_distance_on_every_pair(rows):
+    # cells come from a pool of at most 8 judgments, so the oracle is cached
+    oracle = functools.cache(js_oracle)
     triples = _triples(rows)
-    e, m = triples.shape[1:]
     # every cross-expert pair on every criterion, and every within-row pair,
     # directly and through pairwise_distances
     cross = _all_pairs(triples, 2, 1)  # [e, f, criterion]
     within = _all_pairs(triples, 3, 2)  # [e, i, j]
-    for a in range(e):
-        for b in range(e):
-            for i in range(m):
-                assert cross[a, b, i] == js_distance(rows[a][i], rows[b][i])
-        scalar = _scalar_pairwise(rows[a])
-        assert np.array_equal(within[a], scalar)
-        assert np.array_equal(pairwise_distances(GroupAssessment(tuple(rows[a]))).values, scalar)
+    assert np.array_equal(cross, cross.transpose(1, 0, 2))
+    _assert_accurate(cross, [(x, y) for r in rows for s in rows for x, y in zip(r, s)], oracle)
+    for a in range(len(rows)):
+        _assert_accurate(within[a], [(x, y) for x in rows[a] for y in rows[a]], oracle)
+        pairwise = pairwise_distances(GroupAssessment(tuple(rows[a]))).values
+        assert np.array_equal(pairwise, within[a])
 
 
 @settings(max_examples=25)
@@ -113,11 +138,25 @@ def test_pipeline_distances_equal_the_scalar_oracles(rows):
     report = evaluate_round(round_input).alternatives["A"]
     groups = report.combined
     for a in range(e):
-        assert np.array_equal(report.distances[a].values, _scalar_pairwise(groups[a].items))
+        np.testing.assert_allclose(
+            report.distances[a].values, _scalar_pairwise(groups[a].items), rtol=0.0, atol=ORACLE_TOL
+        )
+    expected = np.zeros((e, e))
+    for a in range(e):
         for b in range(e):
-            expected = group_distance(groups[a], groups[b], report.weights[a]) if a != b else 0.0
-            assert report.group_distances[a, b] == expected
-    assert np.array_equal(report.divergence, expert_divergence(groups, report.weights))
+            if a != b:
+                expected[a, b] = group_distance(groups[a], groups[b], report.weights[a])
+    assert np.all(np.diag(report.group_distances) == 0.0)
+    # m weighted terms whose weights sum to 1, each within ORACLE_TOL, added
+    # in another order: at most m eps relative plus ORACLE_TOL
+    np.testing.assert_allclose(report.group_distances, expected, rtol=m * EPS, atol=ORACLE_TOL)
+    # e - 1 of those group distances, added in another order again
+    np.testing.assert_allclose(
+        report.divergence,
+        expert_divergence(groups, report.weights),
+        rtol=(m + e) * EPS,
+        atol=e * ORACLE_TOL,
+    )
 
 
 def test_kernel_at_the_largest_panel_with_every_special_value():
@@ -126,18 +165,14 @@ def test_kernel_at_the_largest_panel_with_every_special_value():
     rows = [[pool[k] for k in rng.integers(len(pool), size=40)] for _ in range(30)]
     rows[5] = rows[4]
     rows[9] = [SPECIAL[0]] * 40
-    triples = _triples(rows)
-    cross = _all_pairs(triples, 2, 1)
-    for a in range(30):
-        for b in range(30):
-            assert [cross[a, b, i] for i in range(40)] == [
-                js_distance(x, y) for x, y in zip(rows[a], rows[b])
-            ]
+    cross = _all_pairs(_triples(rows), 2, 1)
+    pairs = [(x, y) for r in rows for s in rows for x, y in zip(r, s)]
+    _assert_accurate(cross, pairs, functools.cache(js_oracle))
 
 
-def test_kernel_equals_js_distance_on_many_distinct_pairs():
-    # numpy's vectorized log differs from libm in the last place on a small
-    # share of inputs, so this takes enough distinct ratios to show it
+def test_kernel_matches_oracle_and_js_distance_on_many_distinct_pairs():
+    # numpy's vectorized log differs from libm's in the last place on a small
+    # share of inputs, so this takes enough distinct ratios to meet some
     rng = np.random.default_rng(11)
     mu_pct = rng.integers(0, 101, size=(2, 20_000))
     mu = mu_pct / 100
@@ -145,7 +180,92 @@ def test_kernel_equals_js_distance_on_many_distinct_pairs():
     mu[:, :5000] = rng.random((2, 5000))
     nu[:, :5000] = rng.random((2, 5000)) * (1.0 - mu[:, :5000])
     triples = mass_triples(mu, nu)
-    got = js_distances(triples[:, 0], triples[:, 1]).tolist()
-    assert got == [
-        js_distance(IFN(a, b), IFN(c, d)) for a, b, c, d in zip(mu[0], nu[0], mu[1], nu[1])
+    got = js_distances(triples[:, 0], triples[:, 1])
+    pairs = [(IFN(a, b), IFN(c, d)) for a, b, c, d in zip(mu[0], nu[0], mu[1], nu[1])]
+    _assert_accurate(got, pairs)
+
+
+def test_kernel_is_accurate_for_near_identical_pairs():
+    # each judgment paired with a copy moved by 1e-16 to 1e-2 along mu, nu or
+    # both, or by one ulp: the regime where the log of the rounded ratio
+    # 2x / (x + y) lost up to 1e-8
+    rng = np.random.default_rng(5)
+    pairs = [
+        # one rounding step apart, as the fixture's derived judgments are
+        (IFN(0.168, 0.5), IFN(0.16799999999999998, 0.5)),
+        (IFN(0.0, 1.0884255758408789e-16), IFN(1.0884255758408789e-16, 1.0884255758408789e-16)),
     ]
+    for gap in 10.0 ** np.arange(-16.0, -1.0):
+        for _ in range(20):
+            mu = rng.random()
+            nu = rng.random() * (1.0 - mu)
+            for dmu, dnu in ((gap, 0.0), (0.0, gap), (gap, -gap), (-gap, gap)):
+                mu2, nu2 = max(mu + dmu, 0.0), max(nu + dnu, 0.0)
+                if mu2 + nu2 <= 1.0:
+                    pairs.append((IFN(mu, nu), IFN(mu2, nu2)))
+            pairs.append((IFN(mu, nu), IFN(np.nextafter(mu, 1.0), nu)))
+    a = mass_triples([p.mu for p, _ in pairs], [p.nu for p, _ in pairs])
+    b = mass_triples([q.mu for _, q in pairs], [q.nu for _, q in pairs])
+    _assert_accurate(js_distances(a, b), pairs)
+
+
+# ---------------------------------------------------------------------------
+# degenerate rounds through the whole chain; a RuntimeWarning fails the test
+
+
+@pytest.mark.parametrize(
+    "judgment, ge",
+    [((0.0, 0.0), 0.0), ((0.0, 1.0), -100.0 / 3.0), ((1.0, 0.0), 100.0)],
+    ids=["total-hesitancy", "total-rejection", "total-acceptance"],
+)
+def test_uniform_judgments_tie_every_alternative(judgment, ge):
+    row = GroupAssessment((IFN(*judgment),) * 3)
+    round_input = RoundInput(
+        round_label="uniform",
+        criteria_labels=("c1", "c2", "c3"),
+        expert_labels=("E1", "E2", "E3"),
+        alternatives={a: Panel((row,) * 3) for a in ("A", "B", "C")},
+    )
+    report = evaluate_round(round_input)
+    assert report.ties == tuple(sorted(round_input.alternatives))
+    for alt in report.alternatives.values():
+        assert alt.gross_estimation == pytest.approx(ge, rel=1e-12, abs=1e-12)
+        assert np.all(alt.group_distances == 0.0)
+    for config in config_grid():
+        assert evaluate_round(round_input, config).ties == report.ties
+
+
+def test_identical_experts_are_equally_credible():
+    row = GroupAssessment((IFN(0.1, 0.2), IFN(0.5, 0.3), IFN(0.9, 0.0), IFN(0.0, 0.0)))
+    round_input = RoundInput(
+        round_label="identical",
+        criteria_labels=("c1", "c2", "c3", "c4"),
+        expert_labels=("E1", "E2", "E3"),
+        alternatives={"A": Panel((row,) * 3), "B": Panel((row,) * 3)},
+    )
+    for config in config_grid():
+        report = evaluate_round(round_input, config)
+        assert report.ties == ("A", "B")
+        alt = report.alternatives["A"]
+        assert np.all(alt.group_distances == 0.0) and np.all(alt.divergence == 0.0)
+        assert np.array_equal(alt.credibility.values, np.full(3, 1.0 / 3.0))
+
+
+def test_negative_hesitancy_inside_the_sum_tolerance():
+    # mu + nu just above 1 leaves xi a hair below 0: those terms are undefined
+    # and must neither warn nor leak into the distances
+    pool = [IFN(0.6, 0.4 + 0.5 * SUM_TOL), IFN(1.0, 0.9 * SUM_TOL), IFN(0.3, 0.3), IFN(0.0, 0.0)]
+    assert all(i.hesitancy < 0.0 for i in pool[:2])
+    rows = (pool, pool[::-1], pool[1:] + pool[:1])
+    round_input = RoundInput(
+        round_label="negative-xi",
+        criteria_labels=("c1", "c2", "c3", "c4"),
+        expert_labels=("E1", "E2", "E3"),
+        alternatives={"A": Panel(tuple(GroupAssessment(tuple(r)) for r in rows))},
+    )
+    for config in config_grid():
+        assert np.isfinite(evaluate_round(round_input, config).alternatives["A"].gross_estimation)
+    # the pipeline measures combined judgments, whose hesitancy is positive,
+    # so the raw judgments go through the kernel directly
+    within = _all_pairs(mass_triples([i.mu for i in pool], [i.nu for i in pool]), 2, 1)
+    _assert_accurate(within, [(x, y) for x in pool for y in pool])

@@ -1,10 +1,16 @@
 """Golden byte gate: the trace and JSON bytes of the bundled fixtures.
 
 Criterion 10 compares emit_trace with itself, so it cannot notice a change
-in the numbers. These digests were recorded before the distance stages moved
-to the array kernel; any drift in any intermediate value of the fixture
-rounds, under any of the six canonical configurations, changes them. Update
-them only together with a stated reason for the change in output.
+in the numbers. Any drift in any intermediate value of the fixture rounds,
+under any of the six canonical configurations, changes these digests. They
+were last recorded when the Jensen-Shannon distances moved from libm's log
+of the rounded ratio to numpy's log and log1p, which moved no value by more
+than 2e-14 relative. numpy may pick its log and log1p by CPU feature; these
+were recorded with numpy 2.4 on an x86-64 host with AVX-512. Update them only
+together with a stated reason for the change in output.
+
+The rankings and tie sets sit beside the digests and were recorded before
+that change, so a re-recorded digest cannot hide a moved ranking.
 """
 
 from __future__ import annotations
@@ -20,55 +26,113 @@ from panelrank import config_grid, emit_report, emit_trace, evaluate_round, pars
 GOLDEN = {
     "supplier_rounds.json": {
         "equal/original": (
-            "2dd694f3615eb6b4430928b6a70d94ebd2a77ce7c1ec533f5ba06d88201e0882",
-            "a50274912aba81ee350338fcd975929d46bc7d81b5d161b7087337d575b707f7",
+            "fbe43bd2192ddcd8b2947555ee9edad09cc4a484107e39a98136f47fc58ec95e",
+            "6bf912f095b17d9b3f0a5e3f60e23ef97060a7625d4e603adfb6fdeb06837222",
         ),
         "equal/combined": (
-            "aaf0b8c0b6b1d440131e39cdb179ed1ac7e15ca762c74d14cfa190e5cf108950",
-            "8b7e8c6204c35ff8a91f0aca0077910eed972e38fd3846e042e3469953ef89ae",
+            "095c44a49c13f4eae2ce5bdb213ce9c8fab03cdb03fde640d47e1ddd1290db1c",
+            "f67f3f31f5f45d89d1fda2a9c9317219b5e24b397d3ffce8a67aeaecb19b1a8b",
         ),
         "proportional/original": (
-            "066d4b8efafdfb333726038e461694e5864f74f4982a6e831ca954bac3e7bd52",
-            "71fb0556bb605ac2f53310acd01a5f99b48b9130f346ef476392df876fb8ce79",
+            "0a731c416c17b8ca5255e8bf4b2fd8fea7a8b84c087763390b22f60d34edf893",
+            "f7530f8b5946a03fa77c3ab0ca29bd01c7a0f27d5ed33a784a22e5889bd78405",
         ),
         "proportional/combined": (
-            "7baf592e92a1b9d05c4bc551d492c9a055a0b2cbdce1440915d2dc2ec5c496cf",
-            "f53c9ee7077fd29140bfe68093f5c894e86904955b338348515aeac3ed8b4e64",
+            "d84079af11d382c2e078320cec10d937b5807a9bfd48da1736049389c94499fe",
+            "61ad0d3a70ef07d464286a2471352f3ccf7654ea8b0805547b26b5bb22cf6e1a",
         ),
         "none/original": (
-            "e4b9ca7dfd221acc1cd5160d90ed2d02774fd89053f626978172bda04fe4f6bd",
-            "5b7f253f17d1956a8efaac41d969855c7eac2d4600674bb9c5273ff8829803e3",
+            "13c4edb3b3beeee3c8919c4b59e4b56ddbcf57bd09b135e292947cf2a4100d6d",
+            "0437e6fbbd92190570d2c3365fcf97e008697accd751a4a1532ede6a3443240d",
         ),
         "none/combined": (
-            "c775999371a05563e9cda3ef836a894e6d1ad2130228b7e3f886257f2df26547",
-            "4ecae75f44fac72f9e81da8830322e84859d11e636d61d983bf8953aa5e7f327",
+            "191eddfe3ab5952cc75a66c341e2765b234fb6322b0e6cbc0993230fd9f9289e",
+            "22c475c3da594a5f4f4a75fc1c8d808e4d54b8bc98c1070213fed300ee7c8342",
         ),
     },
     "round1.json": {
         "equal/original": (
-            "f4ce52d74ab5d4e2aff315b4014fb134ce28064abc878ab482a379c7a5e13f5b",
-            "92cffa63a4ea3a0fd7ac205fbd8d18c08882d4451e72d08f7630de92d2486265",
+            "72ed7c4fbeab14776401d96f244f1a66bf48b4b063fb12150928ce502bf174ae",
+            "f239acdddcf82e1096630f236168a452d59e1417c5bf7d37830553e01be7579c",
         ),
         "equal/combined": (
-            "3f3bd01238e0d15a20dc55d584a87d12052112d6de66cb3569811eccf2fda7c1",
-            "36ee72a9e3105f4c98680da51cf296d09e42705c4f8cae77a826f8e6162f0e92",
+            "6fe6a6f0f78cc7c103bcfba6601a12c09f83287b1bf0eaefa12668ea1ef9c395",
+            "46c11022492ba2ea2d70352c22c3a08322970be3d297dd721c09cbc1098b1fd6",
         ),
         "proportional/original": (
-            "2220fe20d91f0936a9258560cda4d406ed6245271f365741af967d5b1d47c3ad",
-            "0bf184908b831ad2771e21707b29857d95c07d7bae5e36f02b1f506e554841f7",
+            "92f92fd0b77e8bf170cc4c4ccdc99d6d53dd50a9cf01c5ec1420d816214347da",
+            "59c96cbfbccd300fa03f8a0f23351de19fa8c277ebe7862218de8cc6971016cd",
         ),
         "proportional/combined": (
-            "81412c783008bbd32cec1cbb806b2d580edde7c2c27dfee0eb4befb5abc5c02a",
-            "f42ca89e512817bb8729aceb62a4870e2601931774a8b16ee6d424f7f9db2a76",
+            "65660d92fa59b9bc2ae7fc2a4a0a474fe14107adba28ed355f1189443f131cfb",
+            "9422548461c196c4233b51fcf0f2cf9f7b7e6fc622451c1488909c94b477c04a",
         ),
         "none/original": (
-            "0ce1cd1a13079f4682b74b8e12dbb6378aa120f004ce2ced6ed2b7e9341abef3",
-            "cefc1dbb905fd4490312acbaedd12c97cdd885533d110e2352b1c94f33915084",
+            "85db9da09a9baa8d3954d6c9cf729e6fd478fbd568d6b39b508b1ab019baa269",
+            "de01c30658a5a5694f9fa3186a1921c53e54ab22eb8fe02b4c651449b363c7f9",
         ),
         "none/combined": (
-            "85231df51dd84afb2ba8983856e8703157b80c775eba54c0653334b25f703102",
-            "807ef78c51c93f984a27db5b15f1dc2b832ffd76ec050c82048ce4250450b49e",
+            "41be58f10bec2f032e170f76801f7e8ea6e886172233e57fa7c1899738b98387",
+            "64950affe47e0f83d931af18c598a3e70bc60f01b89fc7e5dc28c8691583250d",
         ),
+    },
+}
+
+
+# file -> "split/dp_source" -> round -> (ranking, best first and joined by ">",
+#                                      the labels tied on gross estimation)
+RANKINGS = {
+    "supplier_rounds.json": {
+        "equal/original": {
+            "r1": ("Supplier_4>Supplier_3>Supplier_2>Supplier_1>Supplier_5", ()),
+            "r2": ("Supplier_4>Supplier_1>Supplier_2>Supplier_5", ()),
+            "r3": ("Supplier_6>Supplier_4>Supplier_3>Supplier_5>Supplier_2>Supplier_1", ()),
+        },
+        "equal/combined": {
+            "r1": ("Supplier_4>Supplier_3>Supplier_2>Supplier_1>Supplier_5", ()),
+            "r2": ("Supplier_4>Supplier_1>Supplier_2>Supplier_5", ()),
+            "r3": ("Supplier_6>Supplier_4>Supplier_3>Supplier_5>Supplier_2>Supplier_1", ()),
+        },
+        "proportional/original": {
+            "r1": ("Supplier_4>Supplier_3>Supplier_2>Supplier_1>Supplier_5", ()),
+            "r2": ("Supplier_4>Supplier_1>Supplier_2>Supplier_5", ()),
+            "r3": ("Supplier_4>Supplier_3>Supplier_6>Supplier_5>Supplier_2>Supplier_1", ()),
+        },
+        "proportional/combined": {
+            "r1": ("Supplier_4>Supplier_3>Supplier_2>Supplier_1>Supplier_5", ()),
+            "r2": ("Supplier_4>Supplier_1>Supplier_2>Supplier_5", ()),
+            "r3": ("Supplier_4>Supplier_3>Supplier_6>Supplier_5>Supplier_2>Supplier_1", ()),
+        },
+        "none/original": {
+            "r1": ("Supplier_4>Supplier_3>Supplier_2>Supplier_1>Supplier_5", ()),
+            "r2": ("Supplier_4>Supplier_1>Supplier_2>Supplier_5", ()),
+            "r3": ("Supplier_6>Supplier_4>Supplier_3>Supplier_5>Supplier_2>Supplier_1", ()),
+        },
+        "none/combined": {
+            "r1": ("Supplier_4>Supplier_3>Supplier_2>Supplier_1>Supplier_5", ()),
+            "r2": ("Supplier_4>Supplier_1>Supplier_2>Supplier_5", ()),
+            "r3": ("Supplier_6>Supplier_4>Supplier_3>Supplier_5>Supplier_2>Supplier_1", ()),
+        },
+    },
+    "round1.json": {
+        "equal/original": {
+            "r1": ("Supplier_4>Supplier_3>Supplier_2>Supplier_1>Supplier_5", ()),
+        },
+        "equal/combined": {
+            "r1": ("Supplier_4>Supplier_3>Supplier_2>Supplier_1>Supplier_5", ()),
+        },
+        "proportional/original": {
+            "r1": ("Supplier_4>Supplier_3>Supplier_2>Supplier_1>Supplier_5", ()),
+        },
+        "proportional/combined": {
+            "r1": ("Supplier_4>Supplier_3>Supplier_2>Supplier_1>Supplier_5", ()),
+        },
+        "none/original": {
+            "r1": ("Supplier_4>Supplier_3>Supplier_2>Supplier_1>Supplier_5", ()),
+        },
+        "none/combined": {
+            "r1": ("Supplier_4>Supplier_3>Supplier_2>Supplier_1>Supplier_5", ()),
+        },
     },
 }
 
@@ -89,3 +153,16 @@ def test_fixture_output_bytes_are_unchanged(fixtures_dir, name, config):
     trace_digest, json_digest = GOLDEN[name][_config_id(config)]
     assert _sha256(emit_trace(reports)) == trace_digest
     assert _sha256(b"".join(emit_report(r, "json") for r in reports)) == json_digest
+
+
+@pytest.mark.parametrize("name", sorted(RANKINGS))
+@pytest.mark.parametrize("config", config_grid(), ids=_config_id)
+def test_fixture_rankings_and_ties_are_unchanged(fixtures_dir, name, config):
+    rounds = parse_judgments((fixtures_dir / name).read_bytes())
+    expected = RANKINGS[name][_config_id(config)]
+    assert {r.round_label for r in rounds} == set(expected)
+    for r in rounds:
+        report = evaluate_round(r, config)
+        ranking, ties = expected[r.round_label]
+        assert ">".join(report.ranking) == ranking
+        assert report.ties == ties

@@ -21,6 +21,7 @@ from panelrank import (
     points,
     preference_matrix,
 )
+from oracles.distance import ORACLE_TOL
 from oracles.preferences import points_oracle
 from strategies import groups, similarity_vectors
 
@@ -98,7 +99,8 @@ def test_pairwise_distances_match_elementwise_calls(g):
     for i in range(m):
         assert d[i, i] == 0.0
         for j in range(i + 1, m):
-            assert d[i, j] == js_distance(g.items[i], g.items[j])
+            # numpy's log in the kernel may differ from libm's in the last place
+            assert abs(d[i, j] - js_distance(g.items[i], g.items[j])) <= ORACLE_TOL
 
 
 def test_pairwise_distances_need_two_judgments():

@@ -147,6 +147,15 @@ def test_likelihood_series_partials_are_derived_from_dp():
     assert not series.partials.flags.writeable
 
 
+def test_likelihood_series_leaves_the_callers_array_writeable():
+    dp = np.array([0.5, 0.2])
+    series = LikelihoodSeries(dp)
+    assert dp.flags.writeable
+    assert not series.dp.flags.writeable
+    dp[0] = 0.1
+    assert series.dp.tolist() == [0.5, 0.2]
+
+
 # ---------------------------------------------------------------------------
 # soft likelihood
 
