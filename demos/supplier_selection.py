@@ -45,10 +45,10 @@ def main() -> None:
     print(f"    experts             {'  '.join(report.expert_labels)}")
     print(f"    credibility         {_vector(alt.credibility.values)}")
     print(f"    attitude character  {_vector(alt.attitude.values)}")
-    print(f"    sharpness           {_vector(s.p for s in alt.sharpness)}")
-    for e, label in enumerate(report.expert_labels):
-        print(f"    {label}: ordered weights {_vector(alt.owa[e].w)}")
-        print(f"        soft likelihood {float(alt.dslf[e]):.4f}")
+    print(f"    sharpness           {_vector(alt.sharpness)}")
+    for label, owa, dslf in zip(report.expert_labels, alt.owa, alt.dslf):
+        print(f"    {label}: ordered weights {_vector(owa)}")
+        print(f"        soft likelihood {dslf:.4f}")
     print(f"    gross estimation    {alt.gross_estimation:.4f}")
 
 

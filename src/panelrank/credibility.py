@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import eifn, js_distance
+from .core import eifn, eifn_values, js_distance
 from .errors import DegenerateError, DomainError, LengthMismatchError
 from .groups import CriterionWeights, GroupAssessment
 
@@ -179,14 +179,12 @@ def group_distance_matrix(cross: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def divergence_from_group_distances(gd: np.ndarray) -> np.ndarray:
-    """Row sums of a group distance matrix with a zero diagonal.
+    """Row sums of [..., E, E] group distance matrices with a zero diagonal.
 
-    The divergence expert_divergence gives for the panel the matrix came
+    The divergence expert_divergence gives for the panel a matrix came
     from, to rounding: the zero diagonal entry adds nothing to a sum.
     """
-    div = gd.sum(axis=1)
-    div.setflags(write=False)
-    return div
+    return gd.sum(axis=-1)
 
 
 def credibility(div: Sequence[float], credibility_floor: float = 1.0) -> CredibilityVector:
@@ -206,14 +204,31 @@ def credibility(div: Sequence[float], credibility_floor: float = 1.0) -> Credibi
         raise DomainError("divergences must be finite and non-negative")
     if not (np.isfinite(credibility_floor) and credibility_floor >= 0.0):
         raise DomainError("credibility_floor must be non-negative")
-    top = values.max()
-    raw = top - values + (credibility_floor * top + _FLOOR_EPS)
-    return CredibilityVector(raw / raw.sum())
+    return CredibilityVector(credibility_shares(values, credibility_floor))
+
+
+def credibility_shares(div: np.ndarray, credibility_floor: float) -> np.ndarray:
+    """The arithmetic of credibility along the last axis of [..., E] divergences."""
+    top = div.max(axis=-1, keepdims=True)
+    raw = top - div + (credibility_floor * top + _FLOOR_EPS)
+    return raw / raw.sum(axis=-1, keepdims=True)
 
 
 def group_information_volume(group: GroupAssessment) -> float:
     """Total information volume of a group's original judgments."""
     return float(sum(eifn(item) for item in group.items))
+
+
+def information_volumes(mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """group_information_volume of every group in [..., M] arrays of judgments.
+
+    Adds the judgments' volumes in criterion order, as the scalar function
+    does. Those volumes come from eifn_values, whose logs may differ from
+    eifn's in the last place; every volume is non-negative, so a group's
+    total is then within 4 M float eps relative of the scalar one.
+    """
+    # accumulate adds in order, where a sum would add pairwise
+    return np.add.accumulate(eifn_values(mu, nu), axis=-1)[..., -1]
 
 
 def modified_info_volume(raw: Sequence[float]) -> InfoVolumeVector:
@@ -225,8 +240,13 @@ def modified_info_volume(raw: Sequence[float]) -> InfoVolumeVector:
     values = np.asarray(raw, dtype=float)
     if values.ndim != 1 or np.any(~np.isfinite(values)):
         raise DomainError("raw info volumes must be finite")
-    shifted = np.exp(values - values.max())
-    return InfoVolumeVector(raw=values, normalized=shifted / shifted.sum())
+    return InfoVolumeVector(raw=values, normalized=info_shares(values))
+
+
+def info_shares(raw: np.ndarray) -> np.ndarray:
+    """The max-shifted softmax of modified_info_volume along the last axis of [..., E]."""
+    shifted = np.exp(raw - raw.max(axis=-1, keepdims=True))
+    return shifted / shifted.sum(axis=-1, keepdims=True)
 
 
 def attitude_characters(iv: InfoVolumeVector, cr: CredibilityVector) -> AttitudeVector:
@@ -237,9 +257,14 @@ def attitude_characters(iv: InfoVolumeVector, cr: CredibilityVector) -> Attitude
     """
     if len(iv) != len(cr):
         raise LengthMismatchError("info volume and credibility must align")
-    product = iv.normalized * cr.values
-    total = product.sum()
-    if total <= 0.0:
+    return AttitudeVector(attitude_shares(iv.normalized, cr.values))
+
+
+def attitude_shares(normalized: np.ndarray, cr: np.ndarray) -> np.ndarray:
+    """The arithmetic of attitude_characters along the last axis of [..., E] shares."""
+    product = normalized * cr
+    total = product.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0.0):
         # unreachable with a positive floor and exp, asserted defensively
         raise DegenerateError("all credibility-volume products vanished")
-    return AttitudeVector(product / total)
+    return product / total

@@ -4,7 +4,9 @@ A group is one expert's ordered judgments over the criteria for a single
 alternative. The chain here runs pairwise distances -> closeness similarity
 -> pairwise preference matrix -> points -> criterion weights: a criterion
 judged close to its peers is typical, typical judgments win pairwise
-comparisons, and the wins are normalized into weights.
+comparisons, and the wins are normalized into weights. weigh_groups runs
+the chain over every group of a round at once; the per-group functions and
+types are its reference.
 """
 
 from __future__ import annotations
@@ -161,6 +163,32 @@ def points(pm: PreferenceMatrix) -> np.ndarray:
     out = pm.values.sum(axis=1)
     out.setflags(write=False)
     return out
+
+
+def weigh_groups(distances: np.ndarray, tie_epsilon: float):
+    """The similarity chain of every group in a [..., M, M] stack of distance matrices.
+
+    The array form of closeness_similarity -> preference_matrix -> points ->
+    criterion_weights, with the same arithmetic per group. A group holding a
+    judgment identical to every other one (a zero row sum) takes the
+    fallback: infinite similarity on its zero rows, no points and uniform
+    weights. A group whose comparisons all tie also gets uniform weights.
+    Returns similarities, points and weights [..., M], and the identical and
+    all-tie masks [...] over groups.
+    """
+    m = distances.shape[-1]
+    row_sums = distances.sum(axis=-1)
+    with np.errstate(divide="ignore"):
+        sm = (m - 1) / row_sums
+    identical = np.any(row_sums == 0.0, axis=-1)
+    # an identical group's comparisons are computed, on its infinite rows,
+    # and then discarded
+    wins = sm[..., :, None] > sm[..., None, :] + tie_epsilon
+    po = np.where(identical[..., None], 0, wins.sum(axis=-1))
+    total = po.sum(axis=-1, keepdims=True)
+    tied = total == 0
+    weights = np.where(tied, 1.0 / m, po / np.where(tied, 1, total))
+    return sm, po, weights, identical, tied[..., 0] & ~identical
 
 
 def criterion_weights(po: Sequence[int]) -> CriterionWeights:

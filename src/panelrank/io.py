@@ -286,33 +286,36 @@ def config_from_dict(doc: Mapping) -> EvaluationConfig:
 
 
 def _alternative_to_dict(r: AlternativeReport) -> dict:
+    info = r.info_volume
     return {
-        "z": [[[z.ifn.mu, z.ifn.nu, z.reliability] for z in row] for row in r.z_table],
-        "combined": [[[i.mu, i.nu] for i in g.items] for g in r.combined],
-        "distances": [d.values.tolist() for d in r.distances],
+        "z": r.z.tolist(),
+        "combined": r.combined.tolist(),
+        "distances": r.distances.tolist(),
         # a judgment identical to all its peers has infinite similarity,
         # which standard JSON cannot hold as a number
         "similarities": [
-            [fnum(v) if math.isinf(v) else v for v in s.tolist()] for s in r.similarities
+            [fnum(v) if math.isinf(v) else v for v in row] for row in r.similarities.tolist()
         ],
-        "points": [p.tolist() for p in r.points],
+        "points": r.points.tolist(),
         "weights": [
-            {"values": w.weights.tolist(), "degenerate": w.degenerate} for w in r.weights
+            {"values": w, "degenerate": d}
+            for w, d in zip(r.weights.tolist(), r.degenerate.tolist())
         ],
         "group_distances": r.group_distances.tolist(),
         "divergence": r.divergence.tolist(),
         "credibility": r.credibility.values.tolist(),
         "info_volume": {
-            "raw": r.info_volume.raw.tolist(),
-            "modified": r.info_volume.modified.tolist(),
-            "normalized": r.info_volume.normalized.tolist(),
+            "raw": info.raw.tolist(),
+            "modified": info.modified.tolist(),
+            "normalized": info.normalized.tolist(),
         },
         "attitude": r.attitude.values.tolist(),
-        "sharpness": [s.p for s in r.sharpness],
-        "owa": [w.w.tolist() for w in r.owa],
-        "support": [s.tolist() for s in r.support],
+        "sharpness": r.sharpness.tolist(),
+        "owa": r.owa.tolist(),
+        "support": r.support.tolist(),
         "series": [
-            {"dp": s.dp.tolist(), "partials": s.partials.tolist()} for s in r.series
+            {"dp": dp, "partials": partials}
+            for dp, partials in zip(r.series.tolist(), r.partials.tolist())
         ],
         "dslf": r.dslf.tolist(),
         "gross_estimation": r.gross_estimation,
@@ -340,36 +343,58 @@ def report_to_dict(report: RoundReport) -> dict:
     }
 
 
-def _alternative_from_dict(label: str, doc: Mapping) -> AlternativeReport:
-    z_table = tuple(
-        tuple(ZJudgment(IFN(mu, nu), rel) for mu, nu, rel in row) for row in doc["z"]
-    )
-    combined = tuple(
-        GroupAssessment(tuple(IFN(mu, nu) for mu, nu in row)) for row in doc["combined"]
-    )
+def _array(value, shape: tuple[int, ...], loc: str, dtype=float) -> np.ndarray:
+    """A read-only array of value, which must have the given shape."""
+    try:
+        out = np.array(value, dtype=dtype)
+    except (TypeError, ValueError):
+        raise SchemaError(f"expected a numeric array of shape {shape}", location=loc) from None
+    if out.shape != shape:
+        raise SchemaError(f"expected shape {shape}, got {out.shape}", location=loc)
+    out.setflags(write=False)
+    return out
+
+
+def _alternative_from_dict(label: str, doc: Mapping, e: int, m: int, loc: str) -> AlternativeReport:
+    def array(key, shape, value=None, dtype=float):
+        return _array(doc[key] if value is None else value, shape, f"{loc}.{key}", dtype)
+
+    z = array("z", (e, m, 3))
+    combined = array("combined", (e, m, 2))
+    distances = array("distances", (e, m, m))
+    weights = array("weights", (e, m), [w["values"] for w in doc["weights"]])
+    owa = array("owa", (e, m))
+    sharpness = array("sharpness", (e,))
+    series = array("series", (e, m), [s["dp"] for s in doc["series"]])
+    # the value checks of the per-judgment and per-group types
+    for (mu, nu, rel), pair in zip(z.reshape(-1, 3).tolist(), combined.reshape(-1, 2).tolist()):
+        ZJudgment(IFN(mu, nu), rel)
+        IFN(*pair)
+    for d, w, o, p, s in zip(distances, weights, owa, sharpness.tolist(), series):
+        DistanceMatrix(d), CriterionWeights(w), OwaWeights(o), Sharpness(p), LikelihoodSeries(s)
+    info = doc["info_volume"]
     return AlternativeReport(
         label=label,
-        z_table=z_table,
+        z=z,
         combined=combined,
-        distances=tuple(DistanceMatrix(np.array(d)) for d in doc["distances"]),
-        similarities=tuple(np.array(s, dtype=float) for s in doc["similarities"]),
-        points=tuple(np.array(p, dtype=int) for p in doc["points"]),
-        weights=tuple(
-            CriterionWeights(np.array(w["values"]), w["degenerate"]) for w in doc["weights"]
-        ),
-        group_distances=np.array(doc["group_distances"]),
-        divergence=np.array(doc["divergence"]),
-        credibility=CredibilityVector(np.array(doc["credibility"])),
+        distances=distances,
+        similarities=array("similarities", (e, m)),
+        points=array("points", (e, m), dtype=int),
+        weights=weights,
+        degenerate=array("weights", (e,), [w["degenerate"] for w in doc["weights"]], bool),
+        group_distances=array("group_distances", (e, e)),
+        divergence=array("divergence", (e,)),
+        credibility=CredibilityVector(array("credibility", (e,))),
         info_volume=InfoVolumeVector(
-            raw=np.array(doc["info_volume"]["raw"]),
-            normalized=np.array(doc["info_volume"]["normalized"]),
+            raw=array("info_volume", (e,), info["raw"]),
+            normalized=array("info_volume", (e,), info["normalized"]),
         ),
-        attitude=AttitudeVector(np.array(doc["attitude"])),
-        sharpness=tuple(Sharpness(p) for p in doc["sharpness"]),
-        owa=tuple(OwaWeights(np.array(w)) for w in doc["owa"]),
-        support=tuple(np.array(s) for s in doc["support"]),
-        series=tuple(LikelihoodSeries(np.array(s["dp"])) for s in doc["series"]),
-        dslf=np.array(doc["dslf"]),
+        attitude=AttitudeVector(array("attitude", (e,))),
+        sharpness=sharpness,
+        owa=owa,
+        support=array("support", (e, m)),
+        series=series,
+        dslf=array("dslf", (e,)),
         gross_estimation=float(doc["gross_estimation"]),
         degeneracies=tuple(doc["degeneracies"]),
     )
@@ -378,16 +403,21 @@ def _alternative_from_dict(label: str, doc: Mapping) -> AlternativeReport:
 def report_from_dict(doc: Mapping) -> RoundReport:
     """Rebuild a RoundReport from its dict form (inverse of report_to_dict).
 
-    The derived info_volume.modified and series[].partials are recomputed,
-    not read.
+    Each array must have the shape the round's labels give it, or a
+    SchemaError names the alternative and field. The derived
+    info_volume.modified and series[].partials are recomputed, not read.
     """
+    criteria = tuple(doc["criteria_labels"])
+    experts = tuple(doc["expert_labels"])
     return RoundReport(
         round_label=doc["round_label"],
-        criteria_labels=tuple(doc["criteria_labels"]),
-        expert_labels=tuple(doc["expert_labels"]),
+        criteria_labels=criteria,
+        expert_labels=experts,
         config=config_from_dict(doc["config"]),
         alternatives={
-            label: _alternative_from_dict(label, alt)
+            label: _alternative_from_dict(
+                label, alt, len(experts), len(criteria), f"alternatives.{label}"
+            )
             for label, alt in doc["alternatives"].items()
         },
         ranking=tuple(doc["ranking"]),
@@ -416,47 +446,44 @@ def _pair(mu: float, nu: float) -> str:
 
 
 def trace_records(report: RoundReport) -> tuple[TraceRecord, ...]:
-    """Flatten one report into trace records, one per quantity slot."""
+    """Flatten one report into trace records, one per quantity slot.
+
+    Each array of an alternative is read through one tolist call.
+    """
     rows: list[TraceRecord] = []
     rnd = report.round_label
     criteria = report.criteria_labels
     experts = report.expert_labels
-
-    def add(alternative, stage, expert, criterion, value):
-        rows.append(TraceRecord(rnd, alternative, stage, expert, criterion, value))
+    pairs = [(i, j) for i in range(len(criteria)) for j in range(i + 1, len(criteria))]
+    directed = [(a, b) for a in range(len(experts)) for b in range(len(experts)) if a != b]
 
     positions = {label: str(i + 1) for i, label in enumerate(report.ranking)}
     for label, alt in report.alternatives.items():
-        for e, expert in enumerate(experts):
-            for c, criterion in enumerate(criteria):
-                z = alt.z_table[e][c]
-                add(label, "reliability", expert, criterion, fnum(z.reliability))
-                add(label, "z", expert, criterion, f"({_pair(z.ifn.mu, z.ifn.nu)},{fnum(z.reliability)})")
-                item = alt.combined[e].items[c]
-                add(label, "combined", expert, criterion, _pair(item.mu, item.nu))
-        for e, expert in enumerate(experts):
-            d = alt.distances[e].values
-            for i in range(len(criteria)):
-                for j in range(i + 1, len(criteria)):
-                    add(label, "distance", expert, f"{criteria[i]}-{criteria[j]}", fnum(d[i, j]))
+
+        def add(stage, expert, criterion, value):
+            rows.append(TraceRecord(rnd, label, stage, expert, criterion, value))
+
+        z = alt.z.tolist()
+        combined = alt.combined.tolist()
+        for expert, z_row, c_row in zip(experts, z, combined):
+            for criterion, (mu, nu, rel), (c_mu, c_nu) in zip(criteria, z_row, c_row):
+                add("reliability", expert, criterion, fnum(rel))
+                add("z", expert, criterion, f"({_pair(mu, nu)},{fnum(rel)})")
+                add("combined", expert, criterion, _pair(c_mu, c_nu))
+        for expert, d in zip(experts, alt.distances.tolist()):
+            for i, j in pairs:
+                add("distance", expert, f"{criteria[i]}-{criteria[j]}", fnum(d[i][j]))
         for stage, table in (
             ("similarity", alt.similarities),
             ("points", alt.points),
-            ("weights", [w.weights for w in alt.weights]),
+            ("weights", alt.weights),
         ):
-            for e, expert in enumerate(experts):
-                for c, criterion in enumerate(criteria):
-                    add(label, stage, expert, criterion, fnum(table[e][c]))
-        for a in range(len(experts)):
-            for b in range(len(experts)):
-                if a != b:
-                    add(
-                        label,
-                        "group_distance",
-                        f"{experts[a]}-{experts[b]}",
-                        "",
-                        fnum(alt.group_distances[a, b]),
-                    )
+            for expert, row in zip(experts, table.tolist()):
+                for criterion, value in zip(criteria, row):
+                    add(stage, expert, criterion, fnum(value))
+        gd = alt.group_distances.tolist()
+        for a, b in directed:
+            add("group_distance", f"{experts[a]}-{experts[b]}", "", fnum(gd[a][b]))
         for stage, vector in (
             ("divergence", alt.divergence),
             ("credibility", alt.credibility.values),
@@ -464,21 +491,20 @@ def trace_records(report: RoundReport) -> tuple[TraceRecord, ...]:
             ("ivf_norm", alt.info_volume.normalized),
             ("alpha", alt.attitude.values),
             ("dslf", alt.dslf),
+            ("sharpness", alt.sharpness),
         ):
-            for e, expert in enumerate(experts):
-                add(label, stage, expert, "", fnum(vector[e]))
-        for e, expert in enumerate(experts):
-            add(label, "sharpness", expert, "", fnum(alt.sharpness[e].p))
-        for e, expert in enumerate(experts):
-            for j, w in enumerate(alt.owa[e].w):
-                add(label, "owa_weight", expert, str(j + 1), fnum(w))
-        for e, expert in enumerate(experts):
-            for c, criterion in enumerate(criteria):
-                add(label, "dp", expert, criterion, fnum(alt.support[e][c]))
-        add(label, "ge", "", "", fnum(alt.gross_estimation))
-        add(label, "rank", "", "", fnum(int(positions[label])))
+            for expert, value in zip(experts, vector.tolist()):
+                add(stage, expert, "", fnum(value))
+        for expert, row in zip(experts, alt.owa.tolist()):
+            for j, w in enumerate(row):
+                add("owa_weight", expert, str(j + 1), fnum(w))
+        for expert, row in zip(experts, alt.support.tolist()):
+            for criterion, value in zip(criteria, row):
+                add("dp", expert, criterion, fnum(value))
+        add("ge", "", "", fnum(alt.gross_estimation))
+        add("rank", "", "", fnum(int(positions[label])))
         if label in report.ties:
-            add(label, "rank", "", "tie", fnum(1))
+            add("rank", "", "tie", fnum(1))
     return tuple(rows)
 
 

@@ -4,9 +4,11 @@ evaluate_round drives the whole chain for every alternative of a round:
 Z-number transform, reliability combination, within-group distances and
 similarities, preference points and criterion weights, cross-expert
 divergence and credibility, information volume, attitude characters, OWA
-weights, soft likelihoods, gross estimation, and the final ranking. Every
-intermediate quantity lands in the report so results can be audited
-table by table.
+weights, soft likelihoods, gross estimation, and the final ranking. Each
+stage runs once over the whole round, as arrays whose leading axes are
+alternatives and experts [A, E], and every intermediate quantity lands in
+the report, as a view of those arrays, so results can be audited table by
+table.
 
 Rounds are independent: evaluate_all simply maps over them, isolating
 per-round failures. compare_configs evaluates one round under several
@@ -23,42 +25,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SplitStrategy, ZJudgment, combine, js_distance_matrices, mass_triples, to_z
+from .core import SplitStrategy, js_distance_matrices, mass_triples, z_arrays
 from .credibility import (
     AttitudeVector,
     CredibilityVector,
     InfoVolumeVector,
     Panel,
-    attitude_characters,
-    credibility,
+    attitude_shares,
+    credibility_shares,
     divergence_from_group_distances,
     group_distance_matrix,
-    group_information_volume,
-    modified_info_volume,
+    info_shares,
+    information_volumes,
 )
-from .errors import DegenerateGroupError, DomainError, LengthMismatchError
-from .groups import (
-    CriterionWeights,
-    DistanceMatrix,
-    GroupAssessment,
-    closeness_similarity,
-    criterion_weights,
-    points,
-    preference_matrix,
-)
+from .errors import DomainError, LengthMismatchError
+from .groups import weigh_groups
 from .slf import (
     DpSource,
-    LikelihoodSeries,
-    OwaWeights,
-    Sharpness,
-    dslf,
     ge_ties,
-    gross_estimation,
-    likelihood_series,
-    owa_weights,
+    gross_estimations,
+    owa_matrix,
     rank,
-    sharpness,
-    support_values,
+    soft_likelihoods,
+    sorted_supports,
+    support_arrays,
 )
 
 
@@ -123,30 +113,45 @@ class RoundInput:
 class AlternativeReport:
     """Every intermediate quantity for one alternative of one round.
 
-    Per-expert sequences are aligned with the round's expert_labels; per
-    criterion values with criteria_labels. support holds the unsorted
-    per-criterion dp values, series the sorted ones with partial products.
+    The arrays are read-only views of the round's arrays. Their first axis
+    E follows the round's expert_labels; a criterion axis M follows its
+    criteria_labels, and owa's last axis is the ordered position 1..M.
+
+    - z [E, M, 3]: mu, nu and reliability; combined [E, M, 2]: mu r, nu r
+    - distances [E, M, M]: within-group distances of the combined judgments
+    - similarities, points, weights [E, M]; degenerate [E] marks the groups
+      whose weights fell back to uniform
+    - group_distances [E, E], divergence [E]
+    - sharpness [E]; owa [E, M]
+    - support [E, M]: unsorted dp values; series [E, M]: sorted descending
+    - dslf [E]
     """
 
     label: str
-    z_table: tuple[tuple[ZJudgment, ...], ...]
-    combined: tuple[GroupAssessment, ...]
-    distances: tuple[DistanceMatrix, ...]
-    similarities: tuple[np.ndarray, ...]
-    points: tuple[np.ndarray, ...]
-    weights: tuple[CriterionWeights, ...]
+    z: np.ndarray
+    combined: np.ndarray
+    distances: np.ndarray
+    similarities: np.ndarray
+    points: np.ndarray
+    weights: np.ndarray
+    degenerate: np.ndarray
     group_distances: np.ndarray
     divergence: np.ndarray
     credibility: CredibilityVector
     info_volume: InfoVolumeVector
     attitude: AttitudeVector
-    sharpness: tuple[Sharpness, ...]
-    owa: tuple[OwaWeights, ...]
-    support: tuple[np.ndarray, ...]
-    series: tuple[LikelihoodSeries, ...]
+    sharpness: np.ndarray
+    owa: np.ndarray
+    support: np.ndarray
+    series: np.ndarray
     dslf: np.ndarray
     gross_estimation: float
     degeneracies: tuple[str, ...] = ()
+
+    @property
+    def partials(self) -> np.ndarray:
+        """Cumulative products along each expert's sorted series, [E, M]."""
+        return _readonly(np.cumprod(self.series, axis=-1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,63 +191,36 @@ class ConfigOutcome:
     matches_reference: bool | None = None
 
 
-def _analyze_group(d: DistanceMatrix, tie_epsilon: float):
-    """Similarity chain for one expert group, with the degenerate fallback."""
-    m = d.values.shape[0]
-    try:
-        sm = closeness_similarity(d)
-    except DegenerateGroupError:
-        # a judgment identical to all others: keep finite similarities where
-        # defined, skip the preference stage, fall back to uniform weights
-        row_sums = d.values.sum(axis=1)
-        with np.errstate(divide="ignore"):
-            sm = np.where(row_sums > 0.0, (m - 1) / row_sums, np.inf)
-        sm.setflags(write=False)
-        po = np.zeros(m, dtype=int)
-        po.setflags(write=False)
-        cw = CriterionWeights(np.full(m, 1.0 / m), degenerate=True)
-        return sm, po, cw, "identical-judgment fallback to uniform weights"
-    pm = preference_matrix(sm, tie_epsilon)
-    po = points(pm)
-    cw = criterion_weights(po)
-    note = "all-tie preference fallback to uniform weights" if cw.degenerate else None
-    return sm, po, cw, note
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
-def _weigh_groups(
-    label: str,
-    experts: tuple[str, ...],
-    distances: tuple[DistanceMatrix, ...],
-    cross: np.ndarray,
-    tie_epsilon: float,
-):
-    """Similarities, points and weights of every group, then group distances and divergence."""
-    similarities = []
-    point_rows = []
-    weight_rows = []
-    notes = []
-    for e, d in enumerate(distances):
-        sm, po, cw, note = _analyze_group(d, tie_epsilon)
-        similarities.append(sm)
-        point_rows.append(po)
-        weight_rows.append(cw)
-        if note:
-            notes.append(f"{label}/{experts[e]}: {note}")
-    gd = group_distance_matrix(cross, np.array([cw.weights for cw in weight_rows]))
-    div = divergence_from_group_distances(gd)
-    return tuple(similarities), tuple(point_rows), tuple(weight_rows), tuple(notes), gd, div
+def _judgment_arrays(round_input: RoundInput) -> tuple[np.ndarray, np.ndarray]:
+    """mu and nu of every judgment of a round, [A, E, M] in label order."""
+    panels = round_input.alternatives.values()
+    mu = np.array([[[i.mu for i in g.items] for g in panel.groups] for panel in panels])
+    nu = np.array([[[i.nu for i in g.items] for g in panel.groups] for panel in panels])
+    return mu, nu
 
 
-def _evaluate_alternative(
-    label: str,
-    panel: Panel,
-    experts: tuple[str, ...],
-    configs: Sequence[EvaluationConfig],
-) -> tuple[AlternativeReport, ...]:
-    """One alternative's report under each config, in order.
+def _degeneracies(labels, experts, identical, all_tie) -> list[tuple[str, ...]]:
+    """Each alternative's notes on the groups whose weights fell back to uniform."""
+    notes: list[list[str]] = [[] for _ in labels]
+    for a, e in np.argwhere(identical | all_tie).tolist():
+        kind = "identical-judgment" if identical[a, e] else "all-tie preference"
+        notes[a].append(f"{labels[a]}/{experts[e]}: {kind} fallback to uniform weights")
+    return [tuple(n) for n in notes]
 
-    Each stage runs once per distinct value of the config fields it reads,
-    and the reports share its results:
+
+def _evaluate_configs(
+    round_input: RoundInput, configs: Sequence[EvaluationConfig]
+) -> tuple[RoundReport, ...]:
+    """One round's report under each config, in order, from one pass over the round.
+
+    Every stage after the distance kernel runs once over all alternatives
+    and experts, on arrays with leading axes [A, E], and once per distinct
+    value of the config fields it reads; the reports share its results:
 
     - information volume, reliability, distances: no field;
     - similarities, points, weights, group distances, divergence:
@@ -251,112 +229,117 @@ def _evaluate_alternative(
       credibility_floor;
     - supports and their sorted series: split_strategy and dp_source;
     - soft likelihoods and gross estimation: once per config.
+
+    The distance kernel runs once per alternative: one call over the whole
+    round is no faster, and its temporaries would grow with the round.
     """
-    m = len(panel.groups[0])
+    labels = tuple(round_input.alternatives)
+    experts = round_input.expert_labels
+    mu, nu = _judgment_arrays(round_input)
+    n_alt, n_exp, m = mu.shape
 
     # information volume reads only the original judgments; checked first so
     # that an overflowing round fails before the distance work
-    raw_iv = np.array([group_information_volume(g) for g in panel.groups])
+    raw_iv = information_volumes(mu, nu)
     with np.errstate(over="ignore"):
-        overflowed = np.flatnonzero(np.isinf(np.exp(raw_iv)))
+        overflowed = np.argwhere(np.isinf(np.exp(raw_iv)))
     if overflowed.size:
-        e = overflowed[0]
+        a, e = overflowed[0]
         raise DomainError(
-            f"information volume of {raw_iv[e]} bits overflows its exponential",
-            location=f"{label}/{experts[e]}",
+            f"information volume of {raw_iv[a, e]} bits overflows its exponential",
+            location=f"{labels[a]}/{experts[e]}",
         )
-    iv = modified_info_volume(raw_iv)
+    iv_shares = info_shares(raw_iv)
+    info = [InfoVolumeVector(raw, shares) for raw, shares in zip(raw_iv, iv_shares)]
 
-    z_table = tuple(tuple(to_z(item) for item in g.items) for g in panel.groups)
-    combined = tuple(GroupAssessment(tuple(combine(z) for z in row)) for row in z_table)
+    z, combined = map(_readonly, z_arrays(mu, nu))
+    triples = mass_triples(combined[..., 0], combined[..., 1])
+    within = np.empty((n_alt, n_exp, m, m))
+    for a in range(n_alt):
+        within[a] = js_distance_matrices(triples[:, a])
+    _readonly(within)
 
-    # every within-group pair in one kernel call, within[e, i, j], and every
-    # cross-expert pair in another, cross[e, f, i]
-    triples = mass_triples(
-        [[i.mu for i in g.items] for g in combined], [[i.nu for i in g.items] for g in combined]
-    )
-    within = js_distance_matrices(triples)
-    cross = js_distance_matrices(triples.swapaxes(1, 2)).transpose(1, 2, 0)
-    distances = tuple(DistanceMatrix(d) for d in within)
+    tie_epsilons = dict.fromkeys(c.tie_epsilon for c in configs)
+    chains = {eps: weigh_groups(within, eps) for eps in tie_epsilons}
+    gds = {eps: np.empty((n_alt, n_exp, n_exp)) for eps in chains}
+    # the cross-expert distances cross[e, f, i] of one alternative at a time,
+    # each reduced under every tie_epsilon's weights before the next
+    for a in range(n_alt):
+        cross = js_distance_matrices(triples[:, a].swapaxes(1, 2)).transpose(1, 2, 0)
+        for eps, (_, _, w, _, _) in chains.items():
+            gds[eps][a] = group_distance_matrix(cross, w[a])
+    weighed = {}
+    for eps, (sm, po, w, identical, all_tie) in chains.items():
+        gd = gds[eps]
+        arrays = (sm, po, w, identical | all_tie, gd, divergence_from_group_distances(gd))
+        weighed[eps] = (*map(_readonly, arrays), _degeneracies(labels, experts, identical, all_tie))
 
-    weighed: dict[float, tuple] = {}
     attitudes: dict[tuple[float, float], tuple] = {}
     supports: dict[tuple[SplitStrategy, DpSource], tuple] = {}
-    reports = []
+    out = []
     for config in configs:
-        eps = config.tie_epsilon
-        if eps not in weighed:
-            weighed[eps] = _weigh_groups(label, experts, distances, cross, eps)
-        similarities, point_rows, weight_rows, notes, gd, div = weighed[eps]
+        sm, po, w, degenerate, gd, div, notes = weighed[config.tie_epsilon]
 
-        key = (eps, config.credibility_floor)
+        key = (config.tie_epsilon, config.credibility_floor)
         if key not in attitudes:
-            cr = credibility(div, config.credibility_floor)
-            alpha = attitude_characters(iv, cr)
-            sharps = tuple(sharpness(a) for a in alpha.values)
-            attitudes[key] = cr, alpha, sharps, tuple(owa_weights(m, s) for s in sharps)
-        cr, alpha, sharps, owas = attitudes[key]
+            cr = credibility_shares(div, config.credibility_floor)
+            alpha = attitude_shares(iv_shares, cr)
+            sharp = (1.0 - alpha) / alpha  # as sharpness() gives it
+            attitudes[key] = (
+                [CredibilityVector(row) for row in cr],
+                [AttitudeVector(row) for row in alpha],
+                _readonly(sharp),
+                _readonly(owa_matrix(m, sharp)),
+            )
+        credibilities, alphas, sharp, owa = attitudes[key]
 
         key = (config.split_strategy, config.dp_source)
         if key not in supports:
-            source = combined if config.dp_source is DpSource.COMBINED else panel.groups
-            support = tuple(support_values(g, config.split_strategy) for g in source)
-            supports[key] = support, tuple(likelihood_series(s) for s in support)
+            if config.dp_source is DpSource.COMBINED:
+                support = support_arrays(combined[..., 0], combined[..., 1], config.split_strategy)
+            else:
+                support = support_arrays(mu, nu, config.split_strategy)
+            supports[key] = _readonly(support), _readonly(sorted_supports(support))
         support, series = supports[key]
 
-        per_expert = np.array([dslf(s, w) for s, w in zip(series, owas)])
-        per_expert.setflags(write=False)
-        reports.append(
-            AlternativeReport(
+        dslf = _readonly(soft_likelihoods(series, owa))
+        ge = dict(zip(labels, gross_estimations(dslf).tolist()))
+        reports = {
+            label: AlternativeReport(
                 label=label,
-                z_table=z_table,
-                combined=combined,
-                distances=distances,
-                similarities=similarities,
-                points=point_rows,
-                weights=weight_rows,
-                group_distances=gd,
-                divergence=div,
-                credibility=cr,
-                info_volume=iv,
-                attitude=alpha,
-                sharpness=sharps,
-                owa=owas,
-                support=support,
-                series=series,
-                dslf=per_expert,
-                gross_estimation=gross_estimation(per_expert),
-                degeneracies=notes,
+                z=z[a],
+                combined=combined[a],
+                distances=within[a],
+                similarities=sm[a],
+                points=po[a],
+                weights=w[a],
+                degenerate=degenerate[a],
+                group_distances=gd[a],
+                divergence=div[a],
+                credibility=credibilities[a],
+                info_volume=info[a],
+                attitude=alphas[a],
+                sharpness=sharp[a],
+                owa=owa[a],
+                support=support[a],
+                series=series[a],
+                dslf=dslf[a],
+                gross_estimation=ge[label],
+                degeneracies=notes[a],
             )
-        )
-    return tuple(reports)
-
-
-def _evaluate_configs(
-    round_input: RoundInput, configs: Sequence[EvaluationConfig]
-) -> tuple[RoundReport, ...]:
-    """One round's report under each config, in order, from one pass per alternative."""
-    per_alternative = {
-        label: _evaluate_alternative(label, panel, round_input.expert_labels, configs)
-        for label, panel in round_input.alternatives.items()
-    }
-    out = []
-    for k, config in enumerate(configs):
-        reports = {label: alt[k] for label, alt in per_alternative.items()}
-        ge = {label: r.gross_estimation for label, r in reports.items()}
-        degeneracies = tuple(
-            itertools.chain.from_iterable(reports[label].degeneracies for label in sorted(reports))
-        )
+            for a, label in enumerate(labels)
+        }
+        ordered = itertools.chain.from_iterable(reports[k].degeneracies for k in sorted(reports))
         out.append(
             RoundReport(
                 round_label=round_input.round_label,
                 criteria_labels=round_input.criteria_labels,
-                expert_labels=round_input.expert_labels,
+                expert_labels=experts,
                 config=config,
                 alternatives=reports,
                 ranking=rank(ge),
                 ties=ge_ties(ge),
-                degeneracies=degeneracies,
+                degeneracies=tuple(ordered),
             )
         )
     return tuple(out)

@@ -104,8 +104,18 @@ def owa_weights(k: int, s: Sharpness) -> OwaWeights:
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise DomainError(f"series length must be a positive integer, got {k}")
-    grid = (np.arange(k + 1) / k) ** s.p
-    return OwaWeights(np.diff(grid))
+    return OwaWeights(owa_matrix(k, np.float64(s.p)))
+
+
+def owa_matrix(k: int, p: np.ndarray) -> np.ndarray:
+    """The owa_weights arithmetic for every sharpness of an array p: [..., k].
+
+    The powers go through np.power with an array exponent, so each row is
+    the same bit for bit whether its sharpness comes alone or in a batch;
+    the ** operator takes square and sqrt shortcuts for a scalar 2 or 0.5.
+    """
+    grid = np.arange(k + 1) / k
+    return np.diff(np.power(grid, np.asarray(p)[..., None]), axis=-1)
 
 
 def support_values(group: GroupAssessment, strategy: SplitStrategy) -> np.ndarray:
@@ -124,6 +134,25 @@ def support_values(group: GroupAssessment, strategy: SplitStrategy) -> np.ndarra
     return out
 
 
+def support_arrays(mu: np.ndarray, nu: np.ndarray, strategy: SplitStrategy) -> np.ndarray:
+    """support_values of every group in [..., M] arrays of judgments.
+
+    Each entry has the arithmetic of split_hesitancy and support_values,
+    so bit for bit what they give.
+    """
+    if strategy is SplitStrategy.NONE:
+        return mu - nu
+    xi = 1.0 - mu - nu
+    mu2 = mu + 0.5 * xi
+    dp = mu2 - (mu2 - (mu - nu))
+    if strategy is SplitStrategy.PROPORTIONAL:
+        committed = mu + nu
+        split = committed > 0.0
+        mu2 = mu + xi * mu / np.where(split, committed, 1.0)
+        dp = np.where(split, mu2 - (1.0 - mu2), dp)
+    return dp
+
+
 def dp_values(group: GroupAssessment, strategy: SplitStrategy) -> LikelihoodSeries:
     """Sorted support values of a group with cumulative products filled in."""
     return likelihood_series(support_values(group, strategy))
@@ -139,6 +168,12 @@ def likelihood_series(dp: np.ndarray) -> LikelihoodSeries:
     return LikelihoodSeries(dp[order])
 
 
+def sorted_supports(dp: np.ndarray) -> np.ndarray:
+    """Each row of [..., M] support values sorted as likelihood_series sorts it."""
+    order = np.argsort(-dp, axis=-1, kind="stable")
+    return np.take_along_axis(dp, order, axis=-1)
+
+
 def dslf(series: LikelihoodSeries, w: OwaWeights) -> float:
     """Soft likelihood: the OWA-weighted sum of cumulative products.
 
@@ -148,6 +183,16 @@ def dslf(series: LikelihoodSeries, w: OwaWeights) -> float:
     if len(series) != len(w):
         raise LengthMismatchError("series and weights must have equal length")
     return float(np.dot(w.w, series.partials))
+
+
+def soft_likelihoods(series: np.ndarray, owa: np.ndarray) -> np.ndarray:
+    """dslf of every row of [..., M] sorted supports under [..., M] OWA weights.
+
+    matmul takes each inner product as np.dot does, bit for bit; a summing
+    reduction would add in another order.
+    """
+    partials = np.cumprod(series, axis=-1)
+    return np.matmul(owa[..., None, :], partials[..., :, None])[..., 0, 0]
 
 
 def gross_estimation(dslf_per_expert: Sequence[float]) -> float:
@@ -161,7 +206,12 @@ def gross_estimation(dslf_per_expert: Sequence[float]) -> float:
         raise DomainError("gross estimation needs at least one expert value")
     if np.any(~np.isfinite(values)):
         raise DomainError("expert values must be finite")
-    return float(values.sum() / (0.01 * len(values)))
+    return float(gross_estimations(values))
+
+
+def gross_estimations(dslf_values: np.ndarray) -> np.ndarray:
+    """The gross_estimation arithmetic along the last axis of [..., E] soft likelihoods."""
+    return dslf_values.sum(axis=-1) / (0.01 * dslf_values.shape[-1])
 
 
 def rank(ge: Mapping[str, float]) -> tuple[str, ...]:

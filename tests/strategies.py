@@ -6,6 +6,18 @@ import numpy as np
 from hypothesis import strategies as st
 
 from panelrank import IFN, GroupAssessment, Panel, RoundInput
+from panelrank.core import SUM_TOL
+
+# the corners of the judgment triangle, total hesitancy, an even split, and
+# mu + nu just inside the validation slack, which gives a negative hesitancy
+SPECIAL = (
+    IFN(0.0, 0.0),
+    IFN(1.0, 0.0),
+    IFN(0.0, 1.0),
+    IFN(0.5, 0.5),
+    IFN(0.6, 0.4 + 0.5 * SUM_TOL),
+    IFN(1.0, 0.9 * SUM_TOL),
+)
 
 
 @st.composite
@@ -35,6 +47,47 @@ def panels(draw, max_experts: int = 4, max_criteria: int = 5) -> Panel:
         )
     )
     return Panel(tuple(GroupAssessment(tuple(row)) for row in rows))
+
+
+@st.composite
+def judgment_grids(draw, shape: tuple[int, int] | None = None):
+    """An experts x criteria grid of IFNs with special values and repeats.
+
+    The shape is drawn, up to 30 experts and 40 criteria, unless given.
+    Cells are drawn from a small pool (special values mixed with arbitrary
+    judgments), so identical judgments are common; some rows copy an earlier
+    row, so identical experts occur too.
+    """
+    if shape is None:
+        shape = (draw(st.integers(2, 30)), draw(st.integers(2, 40)))
+    e, m = shape
+    pool = draw(st.lists(st.one_of(st.sampled_from(SPECIAL), ifns()), min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(e):
+        if rows and rng.random() < 0.2:
+            rows.append(rows[rng.integers(len(rows))])
+        else:
+            rows.append([pool[k] for k in rng.integers(len(pool), size=m)])
+    return rows
+
+
+@st.composite
+def grid_rounds(draw, max_alternatives: int = 4) -> RoundInput:
+    """A round of 1 to max_alternatives judgment_grids of one drawn shape."""
+    a = draw(st.integers(1, max_alternatives))
+    e, m = draw(st.integers(2, 30)), draw(st.integers(2, 40))
+    return RoundInput(
+        round_label="grid",
+        criteria_labels=tuple(f"c{i}" for i in range(m)),
+        expert_labels=tuple(f"E{k}" for k in range(e)),
+        alternatives={
+            f"A{k}": Panel(
+                tuple(GroupAssessment(tuple(row)) for row in draw(judgment_grids(shape=(e, m))))
+            )
+            for k in range(a)
+        },
+    )
 
 
 def similarity_vectors(min_size: int = 2, max_size: int = 6):

@@ -96,11 +96,11 @@ def test_criterion_2_combination_table(report1, tables, capsys):
     worst = 0.0
     count = 0
     for alt, e, c, pair in _cells(tables, "combined"):
-        item = report1.alternatives[alt].combined[e].items[c]
-        worst = max(worst, abs(item.mu - pair[0]), abs(item.nu - pair[1]))
+        mu, nu = report1.alternatives[alt].combined[e, c]
+        worst = max(worst, abs(mu - pair[0]), abs(nu - pair[1]))
         count += 1
-    spot = report1.alternatives["Supplier_1"].combined[0].items[0]
-    examples_ok = spot.mu == pytest.approx(0.3840, abs=1e-4) and spot.nu == (
+    spot_mu, spot_nu = report1.alternatives["Supplier_1"].combined[0, 0]
+    examples_ok = spot_mu == pytest.approx(0.3840, abs=1e-4) and spot_nu == (
         pytest.approx(0.1280, abs=1e-4)
     )
     ok = count == 75 and worst <= 1e-4 and examples_ok
@@ -114,16 +114,15 @@ def test_criterion_2_combination_table(report1, tables, capsys):
 
 
 def test_criterion_3_distance_matrices(report1, tables, capsys):
-    spot = report1.alternatives["Supplier_1"].distances[0].values[0, 1:]
+    spot = report1.alternatives["Supplier_1"].distances[0, 0, 1:]
     spot_ok = np.allclose(spot, [0.2442, 0.1114, 0.0685, 0.0921], atol=1e-3)
     worst = 0.0
     structure_ok = True
     for alt, e, c, row in _cells(tables, "distance"):
-        computed = report1.alternatives[alt].distances[e].values
+        computed = report1.alternatives[alt].distances[e]
         worst = max(worst, float(np.max(np.abs(computed[c] - np.asarray(row)))))
     for alt_report in report1.alternatives.values():
-        for d in alt_report.distances:
-            v = d.values
+        for v in alt_report.distances:
             structure_ok &= bool(np.array_equal(v, v.T))
             structure_ok &= bool(np.all(np.diag(v) == 0.0))
     ok = spot_ok and worst <= 1e-3 and structure_ok
@@ -168,15 +167,15 @@ def test_criterion_5_points_and_weights(report1, tables, capsys):
         for e, row in enumerate(rows):
             points_ok &= report1.alternatives[alt].points[e].tolist() == row
             shares = np.asarray(row, dtype=float) / sum(row)
-            computed = report1.alternatives[alt].weights[e].weights
+            computed = report1.alternatives[alt].weights[e]
             worst_exact = max(worst_exact, float(np.max(np.abs(computed - shares))))
             groups += 1
     for alt, e, c, value in _cells(tables, "weights"):
-        computed = report1.alternatives[alt].weights[e].weights[c]
+        computed = report1.alternatives[alt].weights[e, c]
         worst_table = max(worst_table, abs(computed - value))
     spot = report1.alternatives["Supplier_1"]
     examples_ok = spot.points[0].tolist() == [4, 0, 1, 3, 2] and np.allclose(
-        spot.weights[0].weights, [0.4, 0.0, 0.1, 0.3, 0.2], atol=1e-9
+        spot.weights[0], [0.4, 0.0, 0.1, 0.3, 0.2], atol=1e-9
     )
     ok = (
         points_ok

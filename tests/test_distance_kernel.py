@@ -18,10 +18,10 @@ import functools
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from panelrank import (
     IFN,
+    CriterionWeights,
     GroupAssessment,
     Panel,
     RoundInput,
@@ -36,42 +36,9 @@ from panelrank import (
 )
 from panelrank.core import SUM_TOL
 from oracles.distance import ORACLE_TOL, js_oracle
-from strategies import ifns
+from strategies import SPECIAL, judgment_grids
 
 EPS = np.finfo(float).eps
-
-# the corners of the judgment triangle, total hesitancy, an even split, and
-# mu + nu just inside the validation slack, which gives a negative hesitancy
-SPECIAL = (
-    IFN(0.0, 0.0),
-    IFN(1.0, 0.0),
-    IFN(0.0, 1.0),
-    IFN(0.5, 0.5),
-    IFN(0.6, 0.4 + 0.5 * SUM_TOL),
-    IFN(1.0, 0.9 * SUM_TOL),
-)
-
-
-@st.composite
-def judgment_grids(draw, max_experts: int = 30, max_criteria: int = 40):
-    """An experts x criteria grid of IFNs with special values and repeats.
-
-    Cells are drawn from a small pool (special values mixed with arbitrary
-    judgments), so identical judgments are common; some rows copy an earlier
-    row, so identical experts occur too.
-    """
-    e = draw(st.integers(2, max_experts))
-    m = draw(st.integers(2, max_criteria))
-    pool = draw(st.lists(st.one_of(st.sampled_from(SPECIAL), ifns()), min_size=1, max_size=8))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rows = []
-    for _ in range(e):
-        if rows and rng.random() < 0.2:
-            rows.append(rows[rng.integers(len(rows))])
-        else:
-            rows.append([pool[k] for k in rng.integers(len(pool), size=m)])
-    return rows
-
 
 def _triples(rows) -> np.ndarray:
     return mass_triples([[i.mu for i in r] for r in rows], [[i.nu for i in r] for r in rows])
@@ -136,16 +103,17 @@ def test_pipeline_distances_equal_the_scalar_oracles(rows):
         alternatives={"A": Panel(tuple(GroupAssessment(tuple(r)) for r in rows))},
     )
     report = evaluate_round(round_input).alternatives["A"]
-    groups = report.combined
+    groups = [GroupAssessment(tuple(IFN(*p) for p in row)) for row in report.combined.tolist()]
+    weights = [CriterionWeights(w) for w in report.weights]
     for a in range(e):
         np.testing.assert_allclose(
-            report.distances[a].values, _scalar_pairwise(groups[a].items), rtol=0.0, atol=ORACLE_TOL
+            report.distances[a], _scalar_pairwise(groups[a].items), rtol=0.0, atol=ORACLE_TOL
         )
     expected = np.zeros((e, e))
     for a in range(e):
         for b in range(e):
             if a != b:
-                expected[a, b] = group_distance(groups[a], groups[b], report.weights[a])
+                expected[a, b] = group_distance(groups[a], groups[b], weights[a])
     assert np.all(np.diag(report.group_distances) == 0.0)
     # m weighted terms whose weights sum to 1, each within ORACLE_TOL, added
     # in another order: at most m eps relative plus ORACLE_TOL
@@ -153,7 +121,7 @@ def test_pipeline_distances_equal_the_scalar_oracles(rows):
     # e - 1 of those group distances, added in another order again
     np.testing.assert_allclose(
         report.divergence,
-        expert_divergence(groups, report.weights),
+        expert_divergence(groups, weights),
         rtol=(m + e) * EPS,
         atol=e * ORACLE_TOL,
     )

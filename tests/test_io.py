@@ -263,9 +263,8 @@ def test_report_from_dict_recomputes_derived_fields(report1):
         iv = alt.info_volume
         assert np.array_equal(iv.modified, np.exp(iv.raw))
         assert not iv.modified.flags.writeable
-        for series in alt.series:
-            assert np.array_equal(series.partials, np.cumprod(series.dp))
-            assert not series.partials.flags.writeable
+        assert np.array_equal(alt.partials, np.cumprod(alt.series, axis=1))
+        assert not alt.partials.flags.writeable
     # the derived keys are written but never read back
     stripped = json.loads(json.dumps(doc))
     for alt in stripped["alternatives"].values():
@@ -273,6 +272,20 @@ def test_report_from_dict_recomputes_derived_fields(report1):
         for series in alt["series"]:
             del series["partials"]
     assert report_to_dict(report_from_dict(stripped)) == doc
+
+
+def test_report_from_dict_checks_shapes_against_the_labels(report1):
+    doc = json.loads(json.dumps(report_to_dict(report1)))
+    weights = doc["alternatives"]["Supplier_2"]["weights"]
+    weights[1]["values"] = weights[1]["values"][:-1]
+    with pytest.raises(SchemaError) as caught:
+        report_from_dict(doc)
+    assert caught.value.location == "alternatives.Supplier_2.weights"
+
+    doc = json.loads(json.dumps(report_to_dict(report1)))
+    doc["alternatives"]["Supplier_1"]["dslf"].append(0.5)
+    with pytest.raises(SchemaError, match=r"expected shape \(3,\), got \(4,\)"):
+        report_from_dict(doc)
 
 
 def test_report_from_dict_restores_ranking(report1):
@@ -306,24 +319,24 @@ def test_trace_cell_conventions(report1):
     by_key = {(r.alternative, r.stage, r.expert, r.criterion): r.value for r in records}
 
     alt = report1.alternatives["Supplier_1"]
-    z = alt.z_table[0][0]
+    mu, nu, rel = alt.z[0, 0]
     z_value = by_key[("Supplier_1", "z", "Expert_1", "x1")]
     match = re.fullmatch(r"\(\(([^,]+),([^)]+)\),([^)]+)\)", z_value)
     assert match
-    assert float(match.group(1)) == z.ifn.mu
-    assert float(match.group(2)) == z.ifn.nu
-    assert float(match.group(3)) == z.reliability
+    assert float(match.group(1)) == mu
+    assert float(match.group(2)) == nu
+    assert float(match.group(3)) == rel
 
     combined = by_key[("Supplier_1", "combined", "Expert_1", "x1")]
     match = re.fullmatch(r"\(([^,]+),([^)]+)\)", combined)
     assert match
-    assert float(match.group(1)) == alt.combined[0].items[0].mu
+    assert float(match.group(1)) == alt.combined[0, 0, 0]
 
     # distances key the unordered pair once, low index first
     assert ("Supplier_1", "distance", "Expert_1", "x1-x2") in by_key
     assert ("Supplier_1", "distance", "Expert_1", "x2-x1") not in by_key
     assert float(by_key[("Supplier_1", "distance", "Expert_1", "x1-x2")]) == (
-        alt.distances[0].values[0, 1]
+        alt.distances[0, 0, 1]
     )
 
     # group distances are directional expert pairs
@@ -336,7 +349,7 @@ def test_trace_cell_conventions(report1):
 
     # OWA weights key the ordered position
     assert float(by_key[("Supplier_1", "owa_weight", "Expert_1", "3")]) == (
-        alt.owa[0].w[2]
+        alt.owa[0, 2]
     )
 
     # ranks follow the report ranking

@@ -146,16 +146,17 @@ def test_report_shapes(report1, round1):
     m = len(round1.criteria_labels)
     assert set(report1.alternatives) == set(round1.alternatives)
     for alt in report1.alternatives.values():
-        assert len(alt.z_table) == e and len(alt.z_table[0]) == m
-        assert len(alt.combined) == e and len(alt.combined[0]) == m
-        assert all(d.values.shape == (m, m) for d in alt.distances)
+        assert alt.z.shape == (e, m, 3)
+        assert alt.combined.shape == (e, m, 2)
+        assert alt.distances.shape == (e, m, m)
+        for table in (alt.similarities, alt.points, alt.weights, alt.owa, alt.support, alt.series):
+            assert table.shape == (e, m) and not table.flags.writeable
+        assert alt.degenerate.shape == alt.sharpness.shape == (e,)
         assert alt.group_distances.shape == (e, e)
         assert np.all(np.diag(alt.group_distances) == 0.0)
         assert len(alt.divergence) == e
         assert alt.credibility.values.sum() == pytest.approx(1.0, abs=1e-9)
         assert alt.attitude.values.sum() == pytest.approx(1.0, abs=1e-9)
-        assert all(len(w) == m for w in alt.owa)
-        assert all(len(s) == m for s in alt.series)
         assert len(alt.dslf) == e
         assert np.isfinite(alt.gross_estimation)
 
@@ -251,7 +252,7 @@ def test_identical_judgments_fall_back_to_uniform_weights():
         )
     )
     alt = report.alternatives["A"]
-    assert alt.weights[0].degenerate
+    assert alt.degenerate[0]
     assert alt.points[0].tolist() == [0, 0]
     assert np.all(np.isinf(alt.similarities[0]))
     assert any("uniform weights" in note for note in report.degeneracies)

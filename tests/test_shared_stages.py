@@ -96,10 +96,11 @@ def test_pipeline_supports_equal_the_scalar_functions(round_input):
         report = evaluate_round(round_input, config)
         for label, panel in round_input.alternatives.items():
             alt = report.alternatives[label]
-            for group, support, series in zip(panel.groups, alt.support, alt.series):
+            rows = zip(panel.groups, alt.support, alt.series, alt.partials)
+            for group, support, series, partials in rows:
                 if config.dp_source is DpSource.COMBINED:
                     group = GroupAssessment(tuple(combine(to_z(i)) for i in group.items))
                 expected = dp_values(group, config.split_strategy)
                 assert np.array_equal(support, support_values(group, config.split_strategy))
-                assert np.array_equal(series.dp, expected.dp)
-                assert np.array_equal(series.partials, expected.partials)
+                assert np.array_equal(series, expected.dp)
+                assert np.array_equal(partials, expected.partials)
