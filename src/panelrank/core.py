@@ -140,8 +140,9 @@ def eifn_values(mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
 
     The terms are taken and subtracted in eifn's order, but the logs are
     numpy's log2, which differs from libm's in the last place on a small
-    share of arguments (one in 714 of the distinct arguments that 0.01 grid
-    judgments give); an entry is then within 2 float eps relative of eifn.
+    share of arguments: 6 of the 5151 judgments on a 0.01 grid come out
+    different, by at most 0.8 float eps relative, and 166 of 200,000
+    uniform random judgments by at most 1.7 eps. The bound is 2 eps.
     """
     xi = 1.0 - mu - nu
     total = np.zeros(np.shape(mu))
@@ -203,13 +204,22 @@ def js_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     y = np.concatenate((b, a))
     s = x + y
     defined = (x > 0.0) & (s > 0.0)
-    s = np.where(defined, s, 1.0)
-    q = (x - y) / s
+    np.copyto(s, 1.0, where=~defined)
+    # the same operations as (x - y) / s, log1p(q) + log(2 x / s) and x * logs,
+    # each written into a buffer whose old value is spent, so that the term
+    # stack holds four float arrays at a time
+    q = np.subtract(x, y, out=y)
+    q /= s
     near = defined & (np.abs(q) < _LOG1P_BELOW)
     # every log gets a safe argument; where its branch is not taken the
     # argument is 0 for log1p and 1 for log, so the unused log is exactly 0
-    logs = np.log1p(np.where(near, q, 0.0)) + np.log(np.where(defined & ~near, 2.0 * x / s, 1.0))
-    terms = x * logs  # undefined terms: x * 0.0, a zero
+    logs = np.where(near, q, 0.0)
+    np.log1p(logs, out=logs)
+    ratio = np.multiply(2.0, x, out=q)
+    ratio /= s
+    np.copyto(ratio, 1.0, where=near | ~defined)
+    logs += np.log(ratio, out=ratio)
+    terms = np.multiply(x, logs, out=logs)  # undefined terms: x * 0.0, a zero
     total = (terms[0] + terms[3]) + (terms[1] + terms[4]) + (terms[2] + terms[5])
     return np.sqrt(np.maximum(0.5 * total, 0.0))
 

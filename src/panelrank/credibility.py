@@ -4,7 +4,11 @@ Given every expert's group and criterion weights, this module measures how
 far each expert sits from the rest (weighted divergence), turns that into a
 credibility share, measures how much information each expert's original
 judgments carry (information volume), and blends the two into the attitude
-character that later drives the OWA weights.
+character that later drives the OWA weights. The array forms work along the
+last (expert or criterion) axis, so the pipeline runs them over every
+alternative of a round at once; the per-panel functions share their
+arithmetic or, for group distances and information volume, are the
+references they are tested against.
 """
 
 from __future__ import annotations

@@ -173,8 +173,8 @@ def weigh_groups(distances: np.ndarray, tie_epsilon: float):
     judgment identical to every other one (a zero row sum) takes the
     fallback: infinite similarity on its zero rows, no points and uniform
     weights. A group whose comparisons all tie also gets uniform weights.
-    Returns similarities, points and weights [..., M], and the identical and
-    all-tie masks [...] over groups.
+    Returns similarities, points and weights [..., M], and two masks [...]
+    over groups: identical judgments, and uniform weights for either reason.
     """
     m = distances.shape[-1]
     row_sums = distances.sum(axis=-1)
@@ -186,9 +186,9 @@ def weigh_groups(distances: np.ndarray, tie_epsilon: float):
     wins = sm[..., :, None] > sm[..., None, :] + tie_epsilon
     po = np.where(identical[..., None], 0, wins.sum(axis=-1))
     total = po.sum(axis=-1, keepdims=True)
-    tied = total == 0
-    weights = np.where(tied, 1.0 / m, po / np.where(tied, 1, total))
-    return sm, po, weights, identical, tied[..., 0] & ~identical
+    uniform = total == 0
+    weights = np.where(uniform, 1.0 / m, po / np.where(uniform, 1, total))
+    return sm, po, weights, identical, uniform[..., 0]
 
 
 def criterion_weights(po: Sequence[int]) -> CriterionWeights:

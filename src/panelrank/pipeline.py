@@ -204,10 +204,10 @@ def _judgment_arrays(round_input: RoundInput) -> tuple[np.ndarray, np.ndarray]:
     return mu, nu
 
 
-def _degeneracies(labels, experts, identical, all_tie) -> list[tuple[str, ...]]:
+def _degeneracies(labels, experts, identical, uniform) -> list[tuple[str, ...]]:
     """Each alternative's notes on the groups whose weights fell back to uniform."""
     notes: list[list[str]] = [[] for _ in labels]
-    for a, e in np.argwhere(identical | all_tie).tolist():
+    for a, e in np.argwhere(uniform).tolist():
         kind = "identical-judgment" if identical[a, e] else "all-tie preference"
         notes[a].append(f"{labels[a]}/{experts[e]}: {kind} fallback to uniform weights")
     return [tuple(n) for n in notes]
@@ -269,10 +269,10 @@ def _evaluate_configs(
         for eps, (_, _, w, _, _) in chains.items():
             gds[eps][a] = group_distance_matrix(cross, w[a])
     weighed = {}
-    for eps, (sm, po, w, identical, all_tie) in chains.items():
+    for eps, (sm, po, w, identical, uniform) in chains.items():
         gd = gds[eps]
-        arrays = (sm, po, w, identical | all_tie, gd, divergence_from_group_distances(gd))
-        weighed[eps] = (*map(_readonly, arrays), _degeneracies(labels, experts, identical, all_tie))
+        arrays = (sm, po, w, uniform, gd, divergence_from_group_distances(gd))
+        weighed[eps] = (*map(_readonly, arrays), _degeneracies(labels, experts, identical, uniform))
 
     attitudes: dict[tuple[float, float], tuple] = {}
     supports: dict[tuple[SplitStrategy, DpSource], tuple] = {}
@@ -284,13 +284,10 @@ def _evaluate_configs(
         if key not in attitudes:
             cr = credibility_shares(div, config.credibility_floor)
             alpha = attitude_shares(iv_shares, cr)
-            sharp = (1.0 - alpha) / alpha  # as sharpness() gives it
-            attitudes[key] = (
-                [CredibilityVector(row) for row in cr],
-                [AttitudeVector(row) for row in alpha],
-                _readonly(sharp),
-                _readonly(owa_matrix(m, sharp)),
-            )
+            # the types check each alternative's shares, alpha inside (0, 1)
+            checked = [CredibilityVector(row) for row in cr], [AttitudeVector(row) for row in alpha]
+            sharp = _readonly((1.0 - alpha) / alpha)  # as sharpness() gives it
+            attitudes[key] = (*checked, sharp, _readonly(owa_matrix(m, sharp)))
         credibilities, alphas, sharp, owa = attitudes[key]
 
         key = (config.split_strategy, config.dp_source)

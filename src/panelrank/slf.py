@@ -6,7 +6,9 @@ cumulative products of the expert's sorted support values dp = mu - nu. A
 large sharpness pushes weight toward long products (conjunctive, demanding),
 a small one toward the single best support value (disjunctive, lenient).
 Per-expert results are scaled into a gross estimation per alternative, and
-alternatives are ranked by it.
+alternatives are ranked by it. The array forms run each step over every
+group of a round at once with the arithmetic of the per-group functions,
+which are their references.
 """
 
 from __future__ import annotations
