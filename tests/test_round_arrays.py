@@ -47,6 +47,7 @@ from panelrank import (
     criterion_weights,
     dp_values,
     dslf,
+    eifn,
     evaluate_round,
     gross_estimation,
     group_distance,
@@ -60,6 +61,7 @@ from panelrank import (
     support_values,
     to_z,
 )
+from panelrank.core import eifn_values
 from oracles.distance import ORACLE_TOL
 from strategies import grid_rounds, random_round
 
@@ -144,7 +146,11 @@ def _check_alternative(panel: Panel, alt, config) -> None:
             assert np.array_equal(alt.weights[k], weights.weights)
             assert alt.degenerate[k] == weights.degenerate
 
-        # information volume: numpy's log2 against libm's, volumes non-negative
+        # information volume: added in criterion order, so equal wherever
+        # numpy's log2 gave every judgment libm's volume; else within the bound
+        volumes = eifn_values(*np.array([[i.mu, i.nu] for i in group.items]).T)
+        if volumes.tolist() == [eifn(i) for i in group.items]:
+            assert alt.info_volume.raw[k] == group_information_volume(group)
         np.testing.assert_allclose(
             alt.info_volume.raw[k], group_information_volume(group), rtol=4 * m * EPS, atol=0.0
         )
