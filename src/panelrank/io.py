@@ -355,49 +355,39 @@ def _array(value, shape: tuple[int, ...], loc: str, dtype=float) -> np.ndarray:
     return out
 
 
-def _alternative_from_dict(label: str, doc, e: int, m: int, loc: str) -> AlternativeReport:
-    def array(key, shape, dtype=float):
-        return _array(_require(doc, key, list, loc), shape, f"{loc}.{key}", dtype)
+def _alternative_from_dict(label: str, doc: Mapping, e: int, m: int, loc: str) -> AlternativeReport:
+    def array(key, shape, value=None, dtype=float):
+        return _array(doc[key] if value is None else value, shape, f"{loc}.{key}", dtype)
 
-    def column(key, inner, shape, dtype=float):
-        where = f"{loc}.{key}"
-        entries = _require(doc, key, list, loc)
-        if not all(isinstance(x, dict) and inner in x for x in entries):
-            raise SchemaError(f"every entry needs the key {inner!r}", location=where)
-        return _array([x[inner] for x in entries], shape, where, dtype)
-
-    info = _require(doc, "info_volume", dict, loc)
-    info_loc = f"{loc}.info_volume"
     z = array("z", (e, m, 3))
     combined = array("combined", (e, m, 2))
     distances = array("distances", (e, m, m))
-    weights = column("weights", "values", (e, m))
+    weights = array("weights", (e, m), [w["values"] for w in doc["weights"]])
     owa = array("owa", (e, m))
     sharpness = array("sharpness", (e,))
-    series = column("series", "dp", (e, m))
+    series = array("series", (e, m), [s["dp"] for s in doc["series"]])
     # the value checks of the per-judgment and per-group types
     for (mu, nu, rel), pair in zip(z.reshape(-1, 3).tolist(), combined.reshape(-1, 2).tolist()):
         ZJudgment(IFN(mu, nu), rel)
         IFN(*pair)
     for d, w, o, p, s in zip(distances, weights, owa, sharpness.tolist(), series):
         DistanceMatrix(d), CriterionWeights(w), OwaWeights(o), Sharpness(p), LikelihoodSeries(s)
+    info = doc["info_volume"]
     return AlternativeReport(
         label=label,
         z=z,
         combined=combined,
         distances=distances,
         similarities=array("similarities", (e, m)),
-        points=array("points", (e, m), int),
+        points=array("points", (e, m), dtype=int),
         weights=weights,
-        degenerate=column("weights", "degenerate", (e,), bool),
+        degenerate=array("weights", (e,), [w["degenerate"] for w in doc["weights"]], bool),
         group_distances=array("group_distances", (e, e)),
         divergence=array("divergence", (e,)),
         credibility=CredibilityVector(array("credibility", (e,))),
         info_volume=InfoVolumeVector(
-            raw=_array(_require(info, "raw", list, info_loc), (e,), f"{info_loc}.raw"),
-            normalized=_array(
-                _require(info, "normalized", list, info_loc), (e,), f"{info_loc}.normalized"
-            ),
+            raw=array("info_volume", (e,), info["raw"]),
+            normalized=array("info_volume", (e,), info["normalized"]),
         ),
         attitude=AttitudeVector(array("attitude", (e,))),
         sharpness=sharpness,
@@ -405,34 +395,34 @@ def _alternative_from_dict(label: str, doc, e: int, m: int, loc: str) -> Alterna
         support=array("support", (e, m)),
         series=series,
         dslf=array("dslf", (e,)),
-        gross_estimation=_require(doc, "gross_estimation", float, loc),
-        degeneracies=tuple(_require(doc, "degeneracies", list, loc)),
+        gross_estimation=float(doc["gross_estimation"]),
+        degeneracies=tuple(doc["degeneracies"]),
     )
 
 
 def report_from_dict(doc: Mapping) -> RoundReport:
     """Rebuild a RoundReport from its dict form (inverse of report_to_dict).
 
-    A missing key, or an array whose shape does not fit the round's labels,
-    raises a SchemaError that names the alternative and field. The derived
+    An array whose shape does not fit the round's labels raises a
+    SchemaError that names the alternative and field. The derived
     info_volume.modified and series[].partials are recomputed, not read.
     """
-    criteria = tuple(_require(doc, "criteria_labels", list, "report"))
-    experts = tuple(_require(doc, "expert_labels", list, "report"))
+    criteria = tuple(doc["criteria_labels"])
+    experts = tuple(doc["expert_labels"])
     return RoundReport(
-        round_label=_require(doc, "round_label", str, "report"),
+        round_label=doc["round_label"],
         criteria_labels=criteria,
         expert_labels=experts,
-        config=config_from_dict(_require(doc, "config", dict, "report")),
+        config=config_from_dict(doc["config"]),
         alternatives={
             label: _alternative_from_dict(
                 label, alt, len(experts), len(criteria), f"alternatives.{label}"
             )
-            for label, alt in _require(doc, "alternatives", dict, "report").items()
+            for label, alt in doc["alternatives"].items()
         },
-        ranking=tuple(_require(doc, "ranking", list, "report")),
-        ties=tuple(_require(doc, "ties", list, "report")),
-        degeneracies=tuple(_require(doc, "degeneracies", list, "report")),
+        ranking=tuple(doc["ranking"]),
+        ties=tuple(doc["ties"]),
+        degeneracies=tuple(doc["degeneracies"]),
     )
 
 
