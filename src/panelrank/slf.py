@@ -106,11 +106,11 @@ def owa_weights(k: int, s: Sharpness) -> OwaWeights:
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise DomainError(f"series length must be a positive integer, got {k}")
-    return OwaWeights(owa_matrix(k, np.float64(s.p)))
+    return OwaWeights(owa_matrix(k, s.p))
 
 
-def owa_matrix(k: int, p: np.ndarray) -> np.ndarray:
-    """The owa_weights arithmetic for every sharpness of an array p: [..., k].
+def owa_matrix(k: int, p: float | np.ndarray) -> np.ndarray:
+    """The owa_weights arithmetic for a sharpness p, or each of an array of them: [..., k].
 
     The powers go through np.power with an array exponent, so each row is
     the same bit for bit whether its sharpness comes alone or in a batch;
