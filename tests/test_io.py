@@ -17,6 +17,7 @@ from panelrank import (
     EvaluationConfig,
     GroupAssessment,
     Panel,
+    PanelRankError,
     ParseError,
     RoundInput,
     SchemaError,
@@ -165,6 +166,123 @@ def test_parse_rejects_non_numeric_components():
     doc["rounds"][0]["alternatives"]["A"][0][0] = [0.1]
     with pytest.raises(SchemaError, match="pair"):
         parse_judgments(json.dumps(doc))
+
+
+_IN_B = "rounds[0].alternatives.B"
+_NOT_A_NUMBER = (SchemaError, f"{_IN_B}, E2, x1", "expected a number")
+_NOT_A_PAIR = (
+    SchemaError,
+    f"{_IN_B}, E2, x1",
+    "judgment must be a [membership, non-membership] pair",
+)
+_BAD_ROW = (SchemaError, f"{_IN_B}, E2", "expected one judgment per criterion (2)")
+
+
+def _set_leaf(value):
+    def edit(alternatives):
+        alternatives["B"][1][0][1] = value
+
+    return edit
+
+
+def _set_pair(value):
+    def edit(alternatives):
+        alternatives["B"][1][0] = value
+
+    return edit
+
+
+def _set_row(value):
+    def edit(alternatives):
+        alternatives["B"][1] = value
+
+    return edit
+
+
+def _drop_expert_row(alternatives):
+    del alternatives["B"][1]
+
+
+def _domain_fault_before_type_fault(alternatives):
+    alternatives["A"][1][1] = [0.7, 0.4]
+    alternatives["B"][0][0] = [True, 0.1]
+
+
+@pytest.mark.parametrize(
+    "edit,text,expected",
+    [
+        (_set_leaf(True), None, _NOT_A_NUMBER),
+        (_set_leaf("0.5"), None, _NOT_A_NUMBER),
+        (_set_leaf(None), None, _NOT_A_NUMBER),
+        (
+            _set_leaf(0.123),
+            ("0.123", "NaN"),
+            (DomainError, f"{_IN_B}, E2, x1", "IFN components must be finite, got (0.5, nan)"),
+        ),
+        (
+            _set_leaf(-0.1),
+            None,
+            (DomainError, f"{_IN_B}, E2, x1", "IFN components must lie in [0, 1], got (0.5, -0.1)"),
+        ),
+        (
+            _set_leaf(1.2),
+            None,
+            (DomainError, f"{_IN_B}, E2, x1", "IFN components must lie in [0, 1], got (0.5, 1.2)"),
+        ),
+        (
+            _set_pair([0.7, 0.4]),
+            None,
+            (DomainError, f"{_IN_B}, E2, x1", "membership and non-membership sum to 1.1 > 1"),
+        ),
+        (_set_pair([0.5]), None, _NOT_A_PAIR),
+        (_set_pair([0.1, 0.2, 0.3]), None, _NOT_A_PAIR),
+        (_set_pair(0.5), None, _NOT_A_PAIR),
+        (_set_row([[0.5, 0.4]]), None, _BAD_ROW),
+        (_set_row([[0.5, 0.4], [0.1, 0.1], [0.1, 0.1]]), None, _BAD_ROW),
+        (_set_row(0.5), None, _BAD_ROW),
+        (_drop_expert_row, None, (SchemaError, _IN_B, "expected one row per expert (2)")),
+        (
+            _domain_fault_before_type_fault,
+            None,
+            (
+                DomainError,
+                "rounds[0].alternatives.A, E2, x2",
+                "membership and non-membership sum to 1.1 > 1",
+            ),
+        ),
+    ],
+    ids=[
+        "true",
+        "string",
+        "null",
+        "NaN",
+        "negative",
+        "above-one",
+        "sum-above-one",
+        "one-element-pair",
+        "three-element-pair",
+        "number-for-pair",
+        "short-row",
+        "long-row",
+        "number-for-row",
+        "missing-expert-row",
+        "first-fault-in-file-order",
+    ],
+)
+def test_parse_locates_each_bad_leaf(edit, text, expected):
+    error, location, message = expected
+    doc = json.loads(_doc())
+    alternatives = doc["rounds"][0]["alternatives"]
+    alternatives["B"] = json.loads(json.dumps(alternatives["A"]))
+    edit(alternatives)
+    data = json.dumps(doc)
+    if text is not None:
+        data = data.replace(*text)
+    with pytest.raises(PanelRankError) as caught:
+        parse_judgments(data)
+    assert type(caught.value) is error
+    assert caught.value.location == location
+    assert str(caught.value) == f"{message} (at {location})"
 
 
 def test_parse_locates_malformed_json():
