@@ -32,8 +32,10 @@ def single_judgment() -> None:
 
 
 def group_supports(round_input) -> None:
-    label = next(iter(round_input.alternatives))
-    group = round_input.alternatives[label].groups[0]
+    label = round_input.alternatives[0]
+    # the first expert's judgments of the first alternative, [M, 2]
+    pairs = round_input.judgments[0, 0].tolist()
+    group = pr.GroupAssessment(tuple(pr.IFN(mu, nu) for mu, nu in pairs))
     expert = round_input.expert_labels[0]
     print(f"support values for {label}, {expert} "
           f"(criteria {', '.join(round_input.criteria_labels)}):")

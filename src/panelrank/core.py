@@ -17,6 +17,7 @@ and evaluated in parallel freely.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -49,17 +50,40 @@ class IFN:
             object.__setattr__(self, "mu", float(mu))
             object.__setattr__(self, "nu", float(nu))
             mu, nu = self.mu, self.nu
-        if not (math.isfinite(mu) and math.isfinite(nu)):
-            raise DomainError(f"IFN components must be finite, got ({mu}, {nu})")
-        if not (0.0 <= mu <= 1.0 and 0.0 <= nu <= 1.0):
-            raise DomainError(f"IFN components must lie in [0, 1], got ({mu}, {nu})")
-        if mu + nu > 1.0 + SUM_TOL:
-            raise DomainError(f"membership and non-membership sum to {mu + nu} > 1")
+        fault = ifn_fault(mu, nu)
+        if fault is not None:
+            raise DomainError(fault)
 
     @property
     def hesitancy(self) -> float:
         """The undecided mass xi = 1 - mu - nu."""
         return 1.0 - self.mu - self.nu
+
+
+def ifn_fault(mu: float, nu: float) -> str | None:
+    """Why IFN rejects the pair (mu, nu), or None if it accepts it."""
+    if not (math.isfinite(mu) and math.isfinite(nu)):
+        return f"IFN components must be finite, got ({mu}, {nu})"
+    if not (0.0 <= mu <= 1.0 and 0.0 <= nu <= 1.0):
+        return f"IFN components must lie in [0, 1], got ({mu}, {nu})"
+    if mu + nu > 1.0 + SUM_TOL:
+        return f"membership and non-membership sum to {mu + nu} > 1"
+    return None
+
+
+def first_ifn_fault(pairs: np.ndarray) -> tuple[tuple[int, ...], str] | None:
+    """The first pair IFN rejects in a [..., 2] array of (mu, nu), with why.
+
+    Returns its index in C order and ifn_fault's message, or None when IFN
+    accepts every pair. One pass of comparisons over the whole array.
+    """
+    mu, nu = pairs[..., 0], pairs[..., 1]
+    with np.errstate(invalid="ignore"):  # inf + -inf is a NaN, rejected below
+        valid = (mu >= 0.0) & (mu <= 1.0) & (nu >= 0.0) & (nu <= 1.0) & (mu + nu <= 1.0 + SUM_TOL)
+    if valid.all():
+        return None
+    index = tuple(np.argwhere(~valid)[0].tolist())
+    return index, ifn_fault(*pairs[index].tolist())
 
 
 @dataclass(frozen=True)
@@ -225,6 +249,15 @@ def js_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(0.5 * total, 0.0))
 
 
+@functools.lru_cache(maxsize=64)
+def _upper_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    # the read-only row and column indices of the pairs i < j of k items
+    pairs = np.triu_indices(k, 1)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
+
+
 def js_distance_matrices(triples: np.ndarray) -> np.ndarray:
     """Distances between all pairs along the last axis of a [3, ..., k] stack.
 
@@ -233,7 +266,7 @@ def js_distance_matrices(triples: np.ndarray) -> np.ndarray:
     symmetric bit for bit.
     """
     k = triples.shape[-1]
-    rows, cols = np.triu_indices(k, 1)
+    rows, cols = _upper_pairs(k)
     out = np.zeros(triples.shape[1:] + (k,))
     out[..., rows, cols] = out[..., cols, rows] = js_distances(
         triples[..., rows], triples[..., cols]

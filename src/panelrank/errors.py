@@ -14,10 +14,12 @@ class PanelRankError(Exception):
 
     The optional location is a human-readable pointer into the input that
     caused the error (a file position or a label path), kept separate from
-    the message so tools can surface it on its own.
+    the message so tools can surface it on its own; reason is the message
+    without it.
     """
 
     def __init__(self, message: str, location: str | None = None):
+        self.reason = message
         self.location = location
         if location is not None:
             message = f"{message} (at {location})"

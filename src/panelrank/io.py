@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import csv
 import io as _io
+import itertools
 import json
 import math
 from collections.abc import Mapping, Sequence
@@ -45,10 +46,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import IFN, ZJudgment, SplitStrategy
-from .credibility import AttitudeVector, CredibilityVector, InfoVolumeVector, Panel
+from .core import IFN, SplitStrategy, ZJudgment, ifn_fault
+from .credibility import AttitudeVector, CredibilityVector, InfoVolumeVector
 from .errors import DomainError, ParseError, SchemaError
-from .groups import CriterionWeights, DistanceMatrix, GroupAssessment
+from .groups import CriterionWeights, DistanceMatrix
 from .pipeline import AlternativeReport, EvaluationConfig, RoundInput, RoundReport
 from .slf import DpSource, LikelihoodSeries, OwaWeights, Sharpness
 
@@ -126,7 +127,10 @@ def _string_list(value, what, loc):
 def _number(value, loc):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError("expected a number", location=loc)
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise DomainError("number too large for a float", location=loc) from None
 
 
 def _decode_utf8(data: bytes, location: str | None = None) -> str:
@@ -136,15 +140,59 @@ def _decode_utf8(data: bytes, location: str | None = None) -> str:
         raise ParseError(f"not valid UTF-8: {exc}", location=location) from None
 
 
-def _parse_pair(value, loc) -> IFN:
-    if not isinstance(value, list) or len(value) != 2:
-        raise SchemaError("judgment must be a [membership, non-membership] pair", location=loc)
-    mu = _number(value[0], loc)
-    nu = _number(value[1], loc)
+def _judgment_array(matrices: list, experts: int, criteria: int) -> np.ndarray | None:
+    """The judgment matrices as one [A, E, M, 2] float array.
+
+    None unless every matrix holds one row per expert, every row one pair
+    per criterion, and every leaf is an int or a float, never a bool: the
+    float conversion alone would take true, "0.5" and null. The leaves are
+    checked and converted as one flat list; a container other than a list
+    either fails to flatten or yields string leaves.
+    """
+    flatten = itertools.chain.from_iterable
     try:
-        return IFN(mu, nu)
-    except DomainError as exc:
-        raise DomainError(str(exc), location=loc) from None
+        rows = list(flatten(matrices))
+        pairs = list(flatten(rows))
+        leaves = list(flatten(pairs))
+        if not (
+            set(map(type, leaves)) <= {int, float}
+            and set(map(len, matrices)) == {experts}
+            and set(map(len, rows)) == {criteria}
+            and set(map(len, pairs)) == {2}
+        ):
+            return None
+        flat = np.array(leaves, dtype=float)
+    except (TypeError, OverflowError):  # a number to flatten, an int beyond float
+        return None
+    return flat.reshape(len(matrices), experts, criteria, 2)
+
+
+def _raise_first_fault(alternatives: dict, experts: list, criteria: list, loc: str):
+    """Raise the located error for the first fault of a round's judgments.
+
+    Walks the matrices in file order, checking shapes, number types and
+    then each pair as IFN would; only runs once a fault is known.
+    """
+    for alt_label, matrix in alternatives.items():
+        alt_loc = f"{loc}.alternatives.{alt_label}"
+        if not isinstance(matrix, list) or len(matrix) != len(experts):
+            raise SchemaError(f"expected one row per expert ({len(experts)})", location=alt_loc)
+        for expert, row in zip(experts, matrix):
+            row_loc = f"{alt_loc}, {expert}"
+            if not isinstance(row, list) or len(row) != len(criteria):
+                raise SchemaError(
+                    f"expected one judgment per criterion ({len(criteria)})", location=row_loc
+                )
+            for criterion, pair in zip(criteria, row):
+                pair_loc = f"{row_loc}, {criterion}"
+                if not isinstance(pair, list) or len(pair) != 2:
+                    raise SchemaError(
+                        "judgment must be a [membership, non-membership] pair", location=pair_loc
+                    )
+                fault = ifn_fault(_number(pair[0], pair_loc), _number(pair[1], pair_loc))
+                if fault is not None:
+                    raise DomainError(fault, location=pair_loc)
+    raise SchemaError("judgments do not form an array", location=f"{loc}.alternatives")
 
 
 def _parse_round(entry, loc) -> RoundInput:
@@ -163,31 +211,19 @@ def _parse_round(entry, loc) -> RoundInput:
     if len(criteria) < 2:
         raise SchemaError("a round needs at least two criteria", location=loc)
 
-    panels = {}
-    for alt_label, matrix in alternatives.items():
-        alt_loc = f"{loc}.alternatives.{alt_label}"
-        if not isinstance(matrix, list) or len(matrix) != len(experts):
-            raise SchemaError(
-                f"expected one row per expert ({len(experts)})", location=alt_loc
-            )
-        groups = []
-        for e, row in enumerate(matrix):
-            row_loc = f"{alt_loc}, {experts[e]}"
-            if not isinstance(row, list) or len(row) != len(criteria):
-                raise SchemaError(
-                    f"expected one judgment per criterion ({len(criteria)})", location=row_loc
-                )
-            items = tuple(
-                _parse_pair(pair, f"{row_loc}, {criteria[i]}") for i, pair in enumerate(row)
-            )
-            groups.append(GroupAssessment(items))
-        panels[alt_label] = Panel(tuple(groups))
-    return RoundInput(
-        round_label=label,
-        criteria_labels=tuple(criteria),
-        expert_labels=tuple(experts),
-        alternatives=panels,
-    )
+    judgments = _judgment_array(list(alternatives.values()), len(experts), len(criteria))
+    if judgments is None:
+        _raise_first_fault(alternatives, experts, criteria, loc)
+    try:
+        return RoundInput(
+            round_label=label,
+            criteria_labels=tuple(criteria),
+            expert_labels=tuple(experts),
+            alternatives=tuple(alternatives),
+            judgments=judgments,
+        )
+    except DomainError as exc:  # a judgment IFN rejects, located in the round
+        raise DomainError(exc.reason, location=f"{loc}.alternatives.{exc.location}") from None
 
 
 def parse_judgments(data: bytes | str) -> tuple[RoundInput, ...]:
@@ -235,10 +271,7 @@ def emit_judgments(rounds: Sequence[RoundInput]) -> bytes:
                 "round_label": r.round_label,
                 "criteria_labels": list(r.criteria_labels),
                 "experts": list(r.expert_labels),
-                "alternatives": {
-                    label: [[[i.mu, i.nu] for i in g.items] for g in panel.groups]
-                    for label, panel in r.alternatives.items()
-                },
+                "alternatives": dict(zip(r.alternatives, r.judgments.tolist())),
             }
             for r in rounds
         ],

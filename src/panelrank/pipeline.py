@@ -25,12 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SplitStrategy, js_distance_matrices, mass_triples, z_arrays
+from .core import SplitStrategy, first_ifn_fault, js_distance_matrices, mass_triples, z_arrays
 from .credibility import (
     AttitudeVector,
     CredibilityVector,
     InfoVolumeVector,
-    Panel,
     attitude_shares,
     credibility_shares,
     divergence_from_group_distances,
@@ -77,36 +76,71 @@ class EvaluationConfig:
             raise DomainError("tie_epsilon must be finite and positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoundInput:
-    """One round of judgments: a panel per alternative plus the labels."""
+    """One round of judgments: the labels and one [A, E, M, 2] array.
+
+    judgments[a, e, i] is the (mu, nu) pair that expert e gave alternative
+    a on criterion i; the axes follow alternatives, expert_labels and
+    criteria_labels. Any nested sequence of that shape is accepted and
+    copied into a read-only float array, whose every pair IFN must accept.
+    This is the one check on the judgments: nothing downstream builds an
+    IFN from them. Two rounds are equal when their labels and judgments are.
+    """
 
     round_label: str
     criteria_labels: tuple[str, ...]
     expert_labels: tuple[str, ...]
-    alternatives: dict[str, Panel]
+    alternatives: tuple[str, ...]
+    judgments: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "criteria_labels", tuple(self.criteria_labels))
-        object.__setattr__(self, "expert_labels", tuple(self.expert_labels))
-        object.__setattr__(self, "alternatives", dict(self.alternatives))
+        for name in ("criteria_labels", "expert_labels", "alternatives"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if not self.alternatives:
             raise DomainError(f"round {self.round_label!r} has no alternatives")
+        if len(set(self.alternatives)) != len(self.alternatives):
+            raise DomainError("alternative labels must be unique")
         m = len(self.criteria_labels)
         e = len(self.expert_labels)
         if len(set(self.criteria_labels)) != m or m < 2:
             raise DomainError("criteria labels must be unique, two or more")
         if len(set(self.expert_labels)) != e or e < 2:
             raise DomainError("expert labels must be unique, two or more")
-        for label, panel in self.alternatives.items():
-            if len(panel.groups) != e:
-                raise LengthMismatchError(
-                    f"alternative {label!r} has {len(panel.groups)} expert rows, expected {e}"
-                )
-            if len(panel.groups[0]) != m:
-                raise LengthMismatchError(
-                    f"alternative {label!r} covers {len(panel.groups[0])} criteria, expected {m}"
-                )
+        try:
+            judgments = np.array(self.judgments, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise DomainError("judgments must be an array of numbers") from None
+        shape = (len(self.alternatives), e, m, 2)
+        if judgments.shape != shape:
+            raise LengthMismatchError(f"judgments have shape {judgments.shape}, expected {shape}")
+        fault = first_ifn_fault(judgments)
+        if fault is not None:
+            (a, k, i), reason = fault
+            where = f"{self.alternatives[a]}, {self.expert_labels[k]}, {self.criteria_labels[i]}"
+            raise DomainError(reason, location=where)
+        object.__setattr__(self, "judgments", _readonly(judgments))
+
+    @property
+    def mu(self) -> np.ndarray:
+        """Membership degrees, [A, E, M]: a view of judgments."""
+        return self.judgments[..., 0]
+
+    @property
+    def nu(self) -> np.ndarray:
+        """Non-membership degrees, [A, E, M]: a view of judgments."""
+        return self.judgments[..., 1]
+
+    def __eq__(self, other):
+        if not isinstance(other, RoundInput):
+            return NotImplemented
+        labels = (self.round_label, self.criteria_labels, self.expert_labels, self.alternatives)
+        return labels == (
+            other.round_label,
+            other.criteria_labels,
+            other.expert_labels,
+            other.alternatives,
+        ) and np.array_equal(self.judgments, other.judgments)
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,14 +230,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _judgment_arrays(round_input: RoundInput) -> tuple[np.ndarray, np.ndarray]:
-    """mu and nu of every judgment of a round, [A, E, M] in label order."""
-    panels = round_input.alternatives.values()
-    mu = np.array([[[i.mu for i in g.items] for g in panel.groups] for panel in panels])
-    nu = np.array([[[i.nu for i in g.items] for g in panel.groups] for panel in panels])
-    return mu, nu
-
-
 def _degeneracies(labels, experts, identical, uniform) -> list[tuple[str, ...]]:
     """Each alternative's notes on the groups whose weights fell back to uniform."""
     notes: list[list[str]] = [[] for _ in labels]
@@ -233,9 +259,9 @@ def _evaluate_configs(
     The distance kernel runs once per alternative: one call over the whole
     round is no faster, and its temporaries would grow with the round.
     """
-    labels = tuple(round_input.alternatives)
+    labels = round_input.alternatives
     experts = round_input.expert_labels
-    mu, nu = _judgment_arrays(round_input)
+    mu, nu = round_input.mu, round_input.nu
     n_alt, n_exp, m = mu.shape
 
     # information volume reads only the original judgments; checked first so

@@ -72,12 +72,39 @@ def judgment_grids(draw, shape: tuple[int, int] | None = None):
     return rows
 
 
+def round_of_panels(
+    round_label: str,
+    criteria_labels: tuple[str, ...],
+    expert_labels: tuple[str, ...],
+    alternatives: dict[str, Panel],
+) -> RoundInput:
+    """A RoundInput holding the judgments of one Panel per alternative."""
+    return RoundInput(
+        round_label=round_label,
+        criteria_labels=criteria_labels,
+        expert_labels=expert_labels,
+        alternatives=tuple(alternatives),
+        judgments=[
+            [[(i.mu, i.nu) for i in group.items] for group in panel.groups]
+            for panel in alternatives.values()
+        ],
+    )
+
+
+def panels_of(round_input: RoundInput) -> dict[str, Panel]:
+    """Each alternative's judgments as a Panel, for the scalar reference functions."""
+    return {
+        label: Panel(tuple(GroupAssessment(tuple(IFN(*p) for p in row)) for row in matrix))
+        for label, matrix in zip(round_input.alternatives, round_input.judgments.tolist())
+    }
+
+
 @st.composite
 def grid_rounds(draw, max_alternatives: int = 4) -> RoundInput:
     """A round of 1 to max_alternatives judgment_grids of one drawn shape."""
     a = draw(st.integers(1, max_alternatives))
     e, m = draw(st.integers(2, 30)), draw(st.integers(2, 40))
-    return RoundInput(
+    return round_of_panels(
         round_label="grid",
         criteria_labels=tuple(f"c{i}" for i in range(m)),
         expert_labels=tuple(f"E{k}" for k in range(e)),
@@ -129,7 +156,7 @@ def random_round(
             return GroupAssessment((pool[0],) * criteria)
         return GroupAssessment(tuple(pool[k] for k in rng.integers(3, size=criteria)))
 
-    return RoundInput(
+    return round_of_panels(
         round_label=label,
         criteria_labels=labels,
         expert_labels=tuple(f"E{k}" for k in range(experts)),

@@ -45,6 +45,7 @@ from panelrank import (
     trace_records,
 )
 from oracles.preferences import points_oracle
+from strategies import panels_of, round_of_panels
 
 
 def _check(capsys, num, description, ok, detail=""):
@@ -71,7 +72,7 @@ def test_criterion_1_reliability_table(round1, tables, capsys):
     start = time.perf_counter()
     computed = {
         alt: [[reliability(item) for item in g.items] for g in panel.groups]
-        for alt, panel in round1.alternatives.items()
+        for alt, panel in panels_of(round1).items()
     }
     elapsed = time.perf_counter() - start
     count = 0
@@ -430,7 +431,7 @@ def _random_round(rng, label):
         nu = rng.uniform(0.0, 1.0, criteria) * (1.0 - mu)
         return GroupAssessment(tuple(IFN(m, v) for m, v in zip(mu, nu)))
 
-    return RoundInput(
+    return round_of_panels(
         round_label=label,
         criteria_labels=names,
         expert_labels=tuple(f"E{i + 1}" for i in range(experts)),
@@ -456,16 +457,15 @@ def _battery_pipeline(rng, fixture_rounds):
             round_label=round_input.round_label,
             criteria_labels=round_input.criteria_labels,
             expert_labels=tuple(reversed(round_input.expert_labels)),
-            alternatives={
-                label: Panel(tuple(reversed(panel.groups)))
-                for label, panel in round_input.alternatives.items()
-            },
+            alternatives=round_input.alternatives,
+            judgments=round_input.judgments[:, ::-1],
         )
         shuffled = RoundInput(
             round_label=round_input.round_label,
             criteria_labels=round_input.criteria_labels,
             expert_labels=round_input.expert_labels,
-            alternatives=dict(reversed(list(round_input.alternatives.items()))),
+            alternatives=round_input.alternatives[::-1],
+            judgments=round_input.judgments[::-1],
         )
         ok = ok and evaluate_round(permuted).ranking == first.ranking
         ok = ok and evaluate_round(shuffled).ranking == first.ranking

@@ -244,6 +244,32 @@ def test_a_failing_round_does_not_stop_the_others(fixtures_dir, rounds, tmp_path
     assert len(captured.err.splitlines()) == 1
 
 
+def test_integer_beyond_the_float_range_exits_one_with_its_location(
+    judgments, tmp_path, capsys
+):
+    huge = "1" + "0" * 400
+    round_doc = {
+        "round_label": "r1",
+        "criteria_labels": ["x1", "x2"],
+        "experts": ["E1", "E2"],
+        "alternatives": {"A": [[[0.6, 0.2], [0.3, 0.5]], [[0.5, 0.4], [0.8, 0.0]]]},
+    }
+    path = tmp_path / "huge.json"
+    text = json.dumps({"schema_version": "1", "rounds": [round_doc]})
+    path.write_text(text.replace("0.8", huge))
+    assert cli_main(["evaluate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: number too large for a float (at rounds[0].alternatives.A, E2, x2)\n"
+    )
+
+    config = tmp_path / "config.json"
+    config.write_text(f'{{"credibility_floor": {huge}}}')
+    assert cli_main(["evaluate", judgments, "--config", str(config)]) == 1
+    assert capsys.readouterr().err.startswith("error: number too large for a float (at config)")
+
+
 def test_single_criterion_round_exits_one_with_its_location(tmp_path, capsys):
     round_doc = {
         "round_label": "r1",

@@ -24,7 +24,6 @@ from panelrank import (
     CriterionWeights,
     GroupAssessment,
     Panel,
-    RoundInput,
     config_grid,
     evaluate_round,
     expert_divergence,
@@ -36,7 +35,7 @@ from panelrank import (
 )
 from panelrank.core import SUM_TOL
 from oracles.distance import ORACLE_TOL, js_oracle
-from strategies import SPECIAL, judgment_grids
+from strategies import SPECIAL, judgment_grids, round_of_panels
 
 EPS = np.finfo(float).eps
 
@@ -96,7 +95,7 @@ def test_kernel_matches_oracle_and_js_distance_on_every_pair(rows):
 @given(judgment_grids())
 def test_pipeline_distances_equal_the_scalar_oracles(rows):
     e, m = len(rows), len(rows[0])
-    round_input = RoundInput(
+    round_input = round_of_panels(
         round_label="parity",
         criteria_labels=tuple(f"c{i}" for i in range(m)),
         expert_labels=tuple(f"E{k}" for k in range(e)),
@@ -188,7 +187,7 @@ def test_kernel_is_accurate_for_near_identical_pairs():
 )
 def test_uniform_judgments_tie_every_alternative(judgment, ge):
     row = GroupAssessment((IFN(*judgment),) * 3)
-    round_input = RoundInput(
+    round_input = round_of_panels(
         round_label="uniform",
         criteria_labels=("c1", "c2", "c3"),
         expert_labels=("E1", "E2", "E3"),
@@ -205,7 +204,7 @@ def test_uniform_judgments_tie_every_alternative(judgment, ge):
 
 def test_identical_experts_are_equally_credible():
     row = GroupAssessment((IFN(0.1, 0.2), IFN(0.5, 0.3), IFN(0.9, 0.0), IFN(0.0, 0.0)))
-    round_input = RoundInput(
+    round_input = round_of_panels(
         round_label="identical",
         criteria_labels=("c1", "c2", "c3", "c4"),
         expert_labels=("E1", "E2", "E3"),
@@ -225,7 +224,7 @@ def test_negative_hesitancy_inside_the_sum_tolerance():
     pool = [IFN(0.6, 0.4 + 0.5 * SUM_TOL), IFN(1.0, 0.9 * SUM_TOL), IFN(0.3, 0.3), IFN(0.0, 0.0)]
     assert all(i.hesitancy < 0.0 for i in pool[:2])
     rows = (pool, pool[::-1], pool[1:] + pool[:1])
-    round_input = RoundInput(
+    round_input = round_of_panels(
         round_label="negative-xi",
         criteria_labels=("c1", "c2", "c3", "c4"),
         expert_labels=("E1", "E2", "E3"),

@@ -19,7 +19,6 @@ from panelrank import (
     Panel,
     PanelRankError,
     ParseError,
-    RoundInput,
     SchemaError,
     config_from_dict,
     emit_judgments,
@@ -35,6 +34,7 @@ from panelrank import (
     trace_records,
 )
 from panelrank.io import TRACE_HEADER, TRACE_STAGES
+from strategies import round_of_panels
 
 
 def _doc(**overrides):
@@ -91,8 +91,9 @@ def test_parse_minimal_document():
     assert parsed.round_label == "r1"
     assert parsed.criteria_labels == ("x1", "x2")
     assert parsed.expert_labels == ("E1", "E2")
-    assert list(parsed.alternatives) == ["A"]
-    assert parsed.alternatives["A"].groups[0].items[0].mu == 0.6
+    assert parsed.alternatives == ("A",)
+    assert parsed.judgments.shape == (1, 2, 2, 2)
+    assert parsed.judgments[0, 0, 0].tolist() == [0.6, 0.2]
 
 
 def test_parse_ignores_unknown_keys():
@@ -285,6 +286,19 @@ def test_parse_locates_each_bad_leaf(edit, text, expected):
     assert str(caught.value) == f"{message} (at {location})"
 
 
+HUGE = "1" + "0" * 400  # a JSON integer beyond the float range
+
+
+def test_parse_locates_an_integer_beyond_the_float_range():
+    with pytest.raises(DomainError) as caught:
+        parse_judgments(_doc().replace("0.8", HUGE))
+    assert caught.value.location == "rounds[0].alternatives.A, E2, x2"
+    assert caught.value.reason == "number too large for a float"
+    with pytest.raises(DomainError) as caught:
+        config_from_dict(json.loads(f'{{"tie_epsilon": {HUGE}}}'))
+    assert caught.value.location == "config"
+
+
 def test_parse_locates_malformed_json():
     with pytest.raises(ParseError, match="line 1"):
         parse_judgments("{")
@@ -363,7 +377,7 @@ def test_identical_judgments_serialize_to_standard_json():
     flat = GroupAssessment((IFN(0.3, 0.3), IFN(0.3, 0.3), IFN(0.3, 0.3)))
     other = GroupAssessment((IFN(0.6, 0.1), IFN(0.2, 0.5), IFN(0.4, 0.4)))
     report = evaluate_round(
-        RoundInput("flat", ("x1", "x2", "x3"), ("E1", "E2"), {"A": Panel((flat, other))})
+        round_of_panels("flat", ("x1", "x2", "x3"), ("E1", "E2"), {"A": Panel((flat, other))})
     )
     assert math.isinf(report.alternatives["A"].similarities[0][0])
     text = emit_report(report, "json").decode("utf-8")
@@ -481,7 +495,7 @@ def test_trace_marks_exact_ties():
         GroupAssessment((IFN(0.4, 0.4), IFN(0.2, 0.6))),
     )
     report = evaluate_round(
-        RoundInput(
+        round_of_panels(
             round_label="t",
             criteria_labels=("x1", "x2"),
             expert_labels=("E1", "E2"),

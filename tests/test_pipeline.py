@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from pathlib import Path
 
@@ -14,9 +15,7 @@ from panelrank import (
     DomainError,
     DpSource,
     EvaluationConfig,
-    GroupAssessment,
     LengthMismatchError,
-    Panel,
     RoundFailure,
     RoundInput,
     RoundReport,
@@ -33,19 +32,13 @@ from strategies import random_round
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-def _group(pairs):
-    return GroupAssessment(tuple(IFN(mu, nu) for mu, nu in pairs))
-
-
 def _round(alternatives, criteria=("x1", "x2"), experts=("E1", "E2")):
     return RoundInput(
         round_label="t",
         criteria_labels=criteria,
         expert_labels=experts,
-        alternatives={
-            label: Panel(tuple(_group(row) for row in rows))
-            for label, rows in alternatives.items()
-        },
+        alternatives=tuple(alternatives),
+        judgments=list(alternatives.values()),
     )
 
 
@@ -112,6 +105,31 @@ def test_round_input_rejects_empty_alternatives():
         _round({})
 
 
+def test_round_input_locates_the_first_invalid_judgment():
+    rows = {
+        "A": [[(0.5, 0.2), (0.3, 0.3)], [(0.4, 0.4), (0.2, 0.6)]],
+        "B": [[(0.5, 0.2), (0.7, 0.4)], [(0.4, 0.4), (math.nan, 0.6)]],
+    }
+    with pytest.raises(DomainError) as caught:
+        _round(rows)
+    assert caught.value.location == "B, E1, x2"
+    with pytest.raises(DomainError) as scalar:
+        IFN(0.7, 0.4)
+    assert caught.value.reason == str(scalar.value)
+
+
+def test_round_input_holds_a_read_only_copy():
+    rows = [[(0.5, 0.2), (0.3, 0.3)], [(0.4, 0.4), (0.2, 0.6)]]
+    array = np.array(rows)
+    round_input = _round({"A": array})
+    array[0, 0, 1] = 0.1
+    assert round_input.judgments[0, 0, 0].tolist() == [0.5, 0.2]
+    assert not round_input.judgments.flags.writeable
+    assert np.shares_memory(round_input.mu, round_input.judgments)
+    assert round_input.nu.tolist() == [[[0.2, 0.3], [0.4, 0.6]]]
+    assert round_input == _round({"A": rows}) != _round({"B": rows})
+
+
 def test_round_input_rejects_shape_mismatches():
     with pytest.raises(LengthMismatchError):
         _round(
@@ -173,10 +191,8 @@ def test_expert_permutation_equivariance(round1, report1):
         round_label=round1.round_label,
         criteria_labels=round1.criteria_labels,
         expert_labels=tuple(reversed(round1.expert_labels)),
-        alternatives={
-            label: Panel(tuple(reversed(panel.groups)))
-            for label, panel in round1.alternatives.items()
-        },
+        alternatives=round1.alternatives,
+        judgments=round1.judgments[:, ::-1],
     )
     report = evaluate_round(permuted)
     assert report.ranking == report1.ranking
@@ -195,15 +211,8 @@ def _permute_criteria(round_input, order):
         round_label=round_input.round_label,
         criteria_labels=tuple(round_input.criteria_labels[i] for i in order),
         expert_labels=round_input.expert_labels,
-        alternatives={
-            label: Panel(
-                tuple(
-                    GroupAssessment(tuple(g.items[i] for i in order))
-                    for g in panel.groups
-                )
-            )
-            for label, panel in round_input.alternatives.items()
-        },
+        alternatives=round_input.alternatives,
+        judgments=round_input.judgments[:, :, order],
     )
 
 
@@ -228,7 +237,8 @@ def test_alternative_order_and_labels_do_not_matter(round1, report1):
         round_label=round1.round_label,
         criteria_labels=round1.criteria_labels,
         expert_labels=round1.expert_labels,
-        alternatives=dict(reversed(list(round1.alternatives.items()))),
+        alternatives=round1.alternatives[::-1],
+        judgments=round1.judgments[::-1],
     )
     report = evaluate_round(reordered)
     assert report.ranking == report1.ranking

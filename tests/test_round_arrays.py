@@ -48,6 +48,7 @@ from panelrank import (
     dp_values,
     dslf,
     eifn,
+    emit_judgments,
     evaluate_round,
     gross_estimation,
     group_distance,
@@ -55,6 +56,7 @@ from panelrank import (
     modified_info_volume,
     owa_weights,
     pairwise_distances,
+    parse_judgments,
     points,
     preference_matrix,
     sharpness,
@@ -63,7 +65,7 @@ from panelrank import (
 )
 from panelrank.core import eifn_values
 from oracles.distance import ORACLE_TOL
-from strategies import grid_rounds, random_round
+from strategies import grid_rounds, panels_of, random_round, round_of_panels
 
 EPS = np.finfo(float).eps
 
@@ -89,12 +91,12 @@ def _mixed_round() -> RoundInput:
     rng = np.random.default_rng(31)
     base = random_round(rng, 5, 4, 4)
     panels = {}
-    for k, (label, panel) in enumerate(base.alternatives.items()):
+    for k, (label, panel) in enumerate(panels_of(base).items()):
         groups = list(panel.groups)
         groups[k % 4] = identical
         groups[(k + 1) % 4] = all_tie
         panels[label] = Panel(tuple(groups))
-    return dataclasses.replace(base, alternatives=panels)
+    return round_of_panels(base.round_label, base.criteria_labels, base.expert_labels, panels)
 
 
 def test_alternatives_are_evaluated_independently():
@@ -105,9 +107,14 @@ def test_alternatives_are_evaluated_independently():
             report = evaluate_round(round_input, config)
             notes = " ".join(report.degeneracies)
             assert "identical-judgment" in notes and "all-tie" in notes
-            for label, panel in round_input.alternatives.items():
+            for a, label in enumerate(round_input.alternatives):
                 alone = evaluate_round(
-                    dataclasses.replace(round_input, alternatives={label: panel}), config
+                    dataclasses.replace(
+                        round_input,
+                        alternatives=(label,),
+                        judgments=round_input.judgments[a : a + 1],
+                    ),
+                    config,
                 ).alternatives[label]
                 alt = report.alternatives[label]
                 assert alt.degenerate.sum() >= 2
@@ -194,7 +201,7 @@ def test_pipeline_arrays_equal_the_scalar_chain(round_input, config):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         report = evaluate_round(round_input, config)
-    for label, panel in round_input.alternatives.items():
+    for label, panel in panels_of(round_input).items():
         _check_alternative(panel, report.alternatives[label], config)
 
 
@@ -228,7 +235,9 @@ def _peak_beyond_report(round_input) -> int:
 def test_working_memory_does_not_grow_with_the_alternatives():
     rng = np.random.default_rng(12)
     wide = random_round(rng, 12, 30, 6)
-    narrow = dataclasses.replace(wide, alternatives=dict(list(wide.alternatives.items())[:6]))
+    narrow = dataclasses.replace(
+        wide, alternatives=wide.alternatives[:6], judgments=wide.judgments[:6]
+    )
     assert _peak_beyond_report(wide) <= 1.2 * _peak_beyond_report(narrow)
 
 
@@ -244,3 +253,21 @@ def test_no_per_group_object_is_built(kind, monkeypatch, rounds):
     for round_input in list(rounds) + [_mixed_round()]:
         evaluate_round(round_input)
         compare_configs(round_input, CONFIGS)
+
+
+@pytest.mark.parametrize("kind", [IFN, GroupAssessment, Panel])
+def test_no_per_judgment_object_is_built(kind, monkeypatch):
+    data = emit_judgments([random_round(np.random.default_rng(1), 6, 30, 6)])
+    (expected,) = parse_judgments(data)
+    reference = evaluate_round(expected)
+
+    def refuse(self):
+        raise AssertionError(f"built a {type(self).__name__}")
+
+    monkeypatch.setattr(kind, "__post_init__", refuse)
+    (round_input,) = parse_judgments(data)
+    report = evaluate_round(round_input)
+    outcomes = compare_configs(round_input, CONFIGS)
+    ge = {label: alt.gross_estimation for label, alt in reference.alternatives.items()}
+    assert {label: alt.gross_estimation for label, alt in report.alternatives.items()} == ge
+    assert outcomes[0].gross_estimation == ge

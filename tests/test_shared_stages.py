@@ -32,7 +32,7 @@ from panelrank import (
     to_z,
 )
 from panelrank.pipeline import _evaluate_configs
-from strategies import random_round
+from strategies import panels_of, random_round
 
 CONFIGS = tuple(
     replace(c, credibility_floor=floor, tie_epsilon=eps)
@@ -94,7 +94,7 @@ def test_an_outcome_does_not_depend_on_the_configs_beside_it(round_input):
 def test_pipeline_supports_equal_the_scalar_functions(round_input):
     for config in config_grid():  # both dp sources under every split
         report = evaluate_round(round_input, config)
-        for label, panel in round_input.alternatives.items():
+        for label, panel in panels_of(round_input).items():
             alt = report.alternatives[label]
             rows = zip(panel.groups, alt.support, alt.series, alt.partials)
             for group, support, series, partials in rows:
