@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -110,7 +111,7 @@ class RoundInput:
         try:
             judgments = np.array(self.judgments, dtype=float)
         except (TypeError, ValueError, OverflowError):
-            raise DomainError("judgments must be an array of numbers") from None
+            raise DomainError("judgments must be a numeric [A, E, M, 2] array") from None
         shape = (len(self.alternatives), e, m, 2)
         if judgments.shape != shape:
             raise LengthMismatchError(f"judgments have shape {judgments.shape}, expected {shape}")
@@ -134,13 +135,8 @@ class RoundInput:
     def __eq__(self, other):
         if not isinstance(other, RoundInput):
             return NotImplemented
-        labels = (self.round_label, self.criteria_labels, self.expert_labels, self.alternatives)
-        return labels == (
-            other.round_label,
-            other.criteria_labels,
-            other.expert_labels,
-            other.alternatives,
-        ) and np.array_equal(self.judgments, other.judgments)
+        labels = attrgetter("round_label", "criteria_labels", "expert_labels", "alternatives")
+        return labels(self) == labels(other) and np.array_equal(self.judgments, other.judgments)
 
 
 @dataclass(frozen=True, eq=False)
