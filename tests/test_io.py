@@ -91,9 +91,9 @@ def test_parse_minimal_document():
     assert parsed.round_label == "r1"
     assert parsed.criteria_labels == ("x1", "x2")
     assert parsed.expert_labels == ("E1", "E2")
-    assert parsed.alternatives == ("A",)
+    assert list(parsed.alternatives) == ["A"]
     assert parsed.judgments.shape == (1, 2, 2, 2)
-    assert parsed.judgments[0, 0, 0].tolist() == [0.6, 0.2]
+    assert parsed.judgments[0, 0, 0, 0] == 0.6
 
 
 def test_parse_ignores_unknown_keys():

@@ -120,9 +120,9 @@ def test_round_input_locates_the_first_invalid_judgment():
 
 def test_round_input_holds_a_read_only_copy():
     rows = [[(0.5, 0.2), (0.3, 0.3)], [(0.4, 0.4), (0.2, 0.6)]]
-    array = np.array(rows)
-    round_input = _round({"A": array})
-    array[0, 0, 1] = 0.1
+    array = np.array([rows])
+    round_input = RoundInput("t", ("x1", "x2"), ("E1", "E2"), ("A",), array)
+    array[0, 0, 0, 1] = 0.1
     assert round_input.judgments[0, 0, 0].tolist() == [0.5, 0.2]
     assert not round_input.judgments.flags.writeable
     assert np.shares_memory(round_input.mu, round_input.judgments)

@@ -10,7 +10,8 @@ round's [A, E, ...] arrays. These tests hold it to three things:
   pipeline's own inputs to it. Equality is exact where the arithmetic is
   the same; the stages whose arithmetic differs are held to stated bounds;
 - memory beyond the report's arrays does not grow with the alternatives,
-  and no per-group object is built.
+  no per-group object is built, and from the file to the report no
+  per-judgment object either.
 """
 
 from __future__ import annotations
@@ -260,6 +261,7 @@ def test_no_per_judgment_object_is_built(kind, monkeypatch):
     data = emit_judgments([random_round(np.random.default_rng(1), 6, 30, 6)])
     (expected,) = parse_judgments(data)
     reference = evaluate_round(expected)
+    reference_outcomes = compare_configs(expected, CONFIGS)
 
     def refuse(self):
         raise AssertionError(f"built a {type(self).__name__}")
@@ -268,6 +270,8 @@ def test_no_per_judgment_object_is_built(kind, monkeypatch):
     (round_input,) = parse_judgments(data)
     report = evaluate_round(round_input)
     outcomes = compare_configs(round_input, CONFIGS)
-    ge = {label: alt.gross_estimation for label, alt in reference.alternatives.items()}
-    assert {label: alt.gross_estimation for label, alt in report.alternatives.items()} == ge
-    assert outcomes[0].gross_estimation == ge
+    for label, alt in reference.alternatives.items():
+        assert report.alternatives[label].gross_estimation == alt.gross_estimation
+    assert [o.gross_estimation for o in outcomes] == [
+        o.gross_estimation for o in reference_outcomes
+    ]
