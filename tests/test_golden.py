@@ -19,7 +19,14 @@ import hashlib
 
 import pytest
 
-from panelrank import config_grid, emit_report, emit_trace, evaluate_round, parse_judgments
+from panelrank import (
+    cli_main,
+    config_grid,
+    emit_report,
+    emit_trace,
+    evaluate_round,
+    parse_judgments,
+)
 
 # file -> "split/dp_source" -> (sha256 of emit_trace over all rounds,
 #                               sha256 of the rounds' emit_report JSON, joined)
@@ -76,6 +83,24 @@ GOLDEN = {
             "64950affe47e0f83d931af18c598a3e70bc60f01b89fc7e5dc28c8691583250d",
         ),
     },
+}
+
+
+# CLI arguments after the fixture path -> sha256 of what the CLI writes, on
+# supplier_rounds.json under the reference config: stdout for evaluate, the
+# --out file for trace. The list form of evaluate --format json is pinned
+# nowhere else byte for byte.
+CLI_GOLDEN = {
+    ("evaluate", "--format", "json"): (
+        "24be4d4ca1db81a5f6775d91d91cea9524abf6e122cba781713f70d4adddf574"
+    ),
+    ("evaluate", "--round", "r1", "--format", "json"): (
+        "f239acdddcf82e1096630f236168a452d59e1417c5bf7d37830553e01be7579c"
+    ),
+    ("evaluate", "--format", "csv"): (
+        "fbe43bd2192ddcd8b2947555ee9edad09cc4a484107e39a98136f47fc58ec95e"
+    ),
+    ("trace", "--out"): "fbe43bd2192ddcd8b2947555ee9edad09cc4a484107e39a98136f47fc58ec95e",
 }
 
 
@@ -166,3 +191,15 @@ def test_fixture_rankings_and_ties_are_unchanged(fixtures_dir, name, config):
         ranking, ties = expected[r.round_label]
         assert ">".join(report.ranking) == ranking
         assert report.ties == ties
+
+
+@pytest.mark.parametrize("args", sorted(CLI_GOLDEN), ids=" ".join)
+def test_cli_output_bytes_are_unchanged(fixtures_dir, tmp_path, capsys, args):
+    command, *options = args
+    argv = [command, str(fixtures_dir / "supplier_rounds.json"), *options]
+    out = tmp_path / "trace.csv"
+    if command == "trace":
+        argv.append(str(out))
+    assert cli_main(argv) == 0
+    written = out.read_bytes() if command == "trace" else capsys.readouterr().out.encode("utf-8")
+    assert _sha256(written) == CLI_GOLDEN[args]
