@@ -73,9 +73,10 @@ from .io import (
     parse_judgments,
     plot_data,
     read_trace,
-    report_from_dict,
     report_to_dict,
     trace_records,
+    write_json,
+    write_trace,
 )
 from .pipeline import (
     AlternativeReport,
@@ -90,6 +91,7 @@ from .pipeline import (
     evaluate_round,
     reference_config,
 )
+from .reports import report_from_dict
 from .slf import (
     DpSource,
     LikelihoodSeries,
@@ -181,6 +183,8 @@ __all__ = [
     "config_from_dict",
     "trace_records",
     "emit_trace",
+    "write_trace",
+    "write_json",
     "read_trace",
     "plot_data",
     "fnum",

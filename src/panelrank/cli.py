@@ -25,10 +25,11 @@ from .io import (
     _decode_utf8,
     config_from_dict,
     emit_report,
-    emit_trace,
     fnum,
     parse_judgments,
     plot_data,
+    write_json,
+    write_trace,
 )
 from .pipeline import (
     EvaluationConfig,
@@ -125,15 +126,11 @@ def _cmd_evaluate(args) -> int:
     rounds = _load_rounds(args.file, args.round_label)
     reports, code = _evaluate(rounds, _load_config(args.config))
     if args.format == "csv":
-        sys.stdout.write(emit_trace(reports).decode("utf-8"))
+        write_trace(reports, sys.stdout)
     elif args.format == "json":
-        from .io import report_to_dict
-
         # a list per file of several rounds, even when some of them failed
-        docs = [report_to_dict(r) for r in reports]
-        if len(rounds) > 1 or docs:
-            body = docs if len(rounds) > 1 else docs[0]
-            sys.stdout.write(json.dumps(body, indent=2, sort_keys=True, allow_nan=False) + "\n")
+        if len(rounds) > 1 or reports:
+            write_json(reports if len(rounds) > 1 else reports[0], sys.stdout)
     else:
         for report in reports:
             sys.stdout.write(emit_report(report, "human").decode("utf-8"))
@@ -143,7 +140,8 @@ def _cmd_evaluate(args) -> int:
 def _cmd_trace(args) -> int:
     rounds = _load_rounds(args.file, args.round_label)
     reports, code = _evaluate(rounds, _load_config(args.config))
-    Path(args.out).write_bytes(emit_trace(reports))
+    with open(args.out, "w", encoding="utf-8", newline="") as out:
+        write_trace(reports, out)
     print(f"wrote trace for {len(reports)} round(s) to {args.out}", file=sys.stderr)
     return code
 

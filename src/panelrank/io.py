@@ -22,6 +22,11 @@ non-membership] pairs. Labels must be unique, every matrix must have one
 row per expert and one pair per criterion, and every pair must satisfy
 mu + nu <= 1. Unknown keys (such as "notes") are ignored.
 
+FIELDS declares each quantity of a report once. report_to_dict,
+reports.report_from_dict, TRACE_STAGES and both writers follow it. write_json
+and write_trace stream into a text stream and render each array in one
+pass, not one Python call per leaf.
+
 The trace is a flat CSV with header round,alternative,stage,expert,criterion,
 value and LF line endings. Scalar values are written as the shortest decimal
 that parses back to the same float, padded to at least four decimal places;
@@ -37,59 +42,157 @@ ties another's.
 from __future__ import annotations
 
 import csv
+import functools
 import io as _io
 import itertools
 import json
 import math
 from collections.abc import Mapping, Sequence
-from typing import NamedTuple
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
+from types import SimpleNamespace
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
-from .core import IFN, SplitStrategy, ZJudgment, ifn_fault
-from .credibility import AttitudeVector, CredibilityVector, InfoVolumeVector
+from .core import SplitStrategy, ifn_fault
 from .errors import DomainError, ParseError, SchemaError
-from .groups import CriterionWeights, DistanceMatrix
 from .pipeline import AlternativeReport, EvaluationConfig, RoundInput, RoundReport
-from .slf import DpSource, LikelihoodSeries, OwaWeights, Sharpness
+from .slf import DpSource
 
 SCHEMA_VERSION = "1"
 
 TRACE_HEADER = ("round", "alternative", "stage", "expert", "criterion", "value")
 
-TRACE_STAGES = (
-    "reliability",
-    "z",
-    "combined",
-    "distance",
-    "similarity",
-    "points",
-    "weights",
-    "group_distance",
-    "divergence",
-    "credibility",
-    "ivf",
-    "ivf_norm",
-    "alpha",
-    "sharpness",
-    "owa_weight",
-    "dp",
-    "dslf",
-    "ge",
-    "rank",
+
+class Field(NamedTuple):
+    """One quantity of an AlternativeReport, as the JSON and the trace hold it.
+
+    key: its place in an alternative's JSON object; "a.b" is key b of object
+    a, "a[].b" key b of one object per expert. stage: its trace stage. axes:
+    a letter per array axis (e expert, m criterion, k ordered position), then
+    the count of components that cell formats into one trace value. attr:
+    the attribute holding it; dtype: its type when read back.
+    """
+
+    key: str | None
+    stage: str | None
+    axes: str
+    attr: str
+    cell: str = "{}"
+    dtype: type = float
+
+
+# In trace order. The trace rows of one group's fields interleave, key by
+# key; distance rows key the criterion pair, group_distance rows the
+# directed expert pair; the rank rows come from the ranking and the ties.
+FIELDS = (
+    (
+        Field(None, "reliability", "em3", "z", "{2}"),
+        Field("z", "z", "em3", "z", '"(({},{}),{})"'),
+        Field("combined", "combined", "em2", "combined", '"({},{})"'),
+    ),
+    (Field("distances", "distance", "emm", "distances"),),
+    (Field("similarities", "similarity", "em", "similarities"),),
+    (Field("points", "points", "em", "points", dtype=int),),
+    (Field("weights[].values", "weights", "em", "weights"),),
+    (Field("weights[].degenerate", None, "e", "degenerate", dtype=bool),),
+    (Field("group_distances", "group_distance", "ee", "group_distances"),),
+    (Field("divergence", "divergence", "e", "divergence"),),
+    (Field("credibility", "credibility", "e", "credibility.values"),),
+    (Field("info_volume.raw", "ivf", "e", "info_volume.raw"),),
+    (Field("info_volume.modified", None, "e", "info_volume.modified"),),
+    (Field("info_volume.normalized", "ivf_norm", "e", "info_volume.normalized"),),
+    (Field("attitude", "alpha", "e", "attitude.values"),),
+    (Field("dslf", "dslf", "e", "dslf"),),
+    (Field("sharpness", "sharpness", "e", "sharpness"),),
+    (Field("owa", "owa_weight", "ek", "owa"),),
+    (Field("support", "dp", "em", "support"),),
+    (Field("series[].dp", None, "em", "series"),),
+    (Field("series[].partials", None, "em", "partials"),),
+    (Field("gross_estimation", "ge", "", "gross_estimation"),),
 )
+_JSON_FIELDS = tuple(f for group in FIELDS for f in group if f.key)
+_TRACE_GROUPS = tuple(g for g in (tuple(f for f in group if f.stage) for group in FIELDS) if g)
+TRACE_STAGES = tuple(f.stage for group in _TRACE_GROUPS for f in group) + ("rank",)
 
 
 def fnum(x: float) -> str:
     """Shortest decimal form that parses back exactly, at least 4 decimals."""
-    v = float(x)
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    s = repr(v)
-    if "e" in s or "E" in s or "n" in s:
-        return s
-    head, _, frac = s.partition(".")
-    return f"{head}.{frac.ljust(4, '0')}"
+    s = repr(float(x))
+    point = s.find(".")  # none in inf, nan or 1e+16; "e" only after 5 or more decimals
+    return s if point < 0 else s.ljust(point + 5, "0")
+
+
+# ---------------------------------------------------------------------------
+# JSON
+
+
+@functools.lru_cache(maxsize=128)
+def _layout(shape: tuple[int, ...], level: int) -> str:
+    """json.dumps's indented layout of a nested list of this shape, "%s" per leaf."""
+    if not shape or not shape[0]:
+        return "[]" if shape else "%s"
+    inner = "\n" + "  " * (level + 1)
+    items = f",{inner}".join([_layout(shape[1:], level + 1)] * shape[0])
+    return f"[{inner}{items}\n{'  ' * level}]"
+
+
+def _scalar(o) -> str:
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None or isinstance(o, (bool, np.bool_)):
+        return "null" if o is None else "true" if o else "false"
+    if isinstance(o, float) and not math.isfinite(o):
+        raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
+    return (float.__repr__ if isinstance(o, float) else int.__repr__)(o)
+
+
+_LEAF = {"f": float.__repr__, "i": int.__repr__}  # the leaves of float and int arrays
+
+
+def _write(o, level: int, write) -> None:
+    if isinstance(o, RoundReport):
+        o = _report_doc(o, lists=False)
+    if isinstance(o, np.ndarray):
+        flat = o.ravel().tolist()
+        text = _layout(o.shape, level) % tuple(map(_LEAF.get(o.dtype.kind, _scalar), flat))
+        if "n" in text and o.dtype.kind == "f":  # inf or nan: a finite float's repr has no n
+            _scalar(next(v for v in flat if not math.isfinite(v)))  # raises json's ValueError
+        write(text)
+    elif not isinstance(o, (dict, list, tuple)):
+        write(_scalar(o))
+    elif not o:
+        write("{}" if isinstance(o, dict) else "[]")
+    else:
+        opener, closer = "{}" if isinstance(o, dict) else "[]"
+        if isinstance(o, dict):
+            items = [(f"{encode_basestring_ascii(k)}: ", v) for k, v in sorted(o.items())]
+        else:
+            items = [("", v) for v in o]
+        inner = "\n" + "  " * (level + 1)
+        for i, (key, value) in enumerate(items):
+            write(("," if i else opener) + inner + key)
+            _write(value, level + 1, write)
+        write("\n" + "  " * level + closer)
+
+
+def write_json(doc, stream: TextIO) -> None:
+    """Write doc into stream as json.dumps(doc, indent=2, sort_keys=True,
+    allow_nan=False) gives it, and a newline.
+
+    An ndarray stands for its tolist() and a RoundReport for its
+    report_to_dict(). A non-finite number raises json.dumps's ValueError,
+    once the text before it is written.
+    """
+    _write(doc, 0, stream.write)
+    stream.write("\n")
+
+
+def _json_bytes(doc) -> bytes:
+    buf = _io.StringIO()
+    write_json(doc, buf)
+    return buf.getvalue().encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +214,7 @@ def _require(mapping, key, kind, loc):
     if key not in mapping:
         raise SchemaError(f"missing required key {key!r}", location=loc)
     value = mapping[key]
-    if not isinstance(value, kind) or isinstance(value, bool):
+    if not isinstance(value, kind):
         raise SchemaError(f"key {key!r} must be of type {kind.__name__}", location=loc)
     return value
 
@@ -237,8 +340,6 @@ def parse_judgments(data: bytes | str) -> tuple[RoundInput, ...]:
         data = _decode_utf8(data)
     try:
         doc = json.loads(data, object_pairs_hook=_no_duplicate_keys)
-    except SchemaError:
-        raise
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, location=f"line {exc.lineno}, column {exc.colno}") from None
     if not isinstance(doc, dict):
@@ -264,19 +365,16 @@ def parse_judgments(data: bytes | str) -> tuple[RoundInput, ...]:
 
 def emit_judgments(rounds: Sequence[RoundInput]) -> bytes:
     """Serialize RoundInputs back into the judgment file format."""
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "rounds": [
-            {
-                "round_label": r.round_label,
-                "criteria_labels": list(r.criteria_labels),
-                "experts": list(r.expert_labels),
-                "alternatives": dict(zip(r.alternatives, r.judgments.tolist())),
-            }
-            for r in rounds
-        ],
-    }
-    return (json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
+    docs = [
+        {
+            "round_label": r.round_label,
+            "criteria_labels": list(r.criteria_labels),
+            "experts": list(r.expert_labels),
+            "alternatives": dict(zip(r.alternatives, r.judgments)),
+        }
+        for r in rounds
+    ]
+    return _json_bytes({"schema_version": SCHEMA_VERSION, "rounds": docs})
 
 
 # ---------------------------------------------------------------------------
@@ -296,63 +394,54 @@ def config_from_dict(doc: Mapping) -> EvaluationConfig:
     """Build an EvaluationConfig from its dict form, rejecting unknown keys."""
     if not isinstance(doc, Mapping):
         raise SchemaError("config must be an object")
-    known = {"split_strategy", "dp_source", "credibility_floor", "tie_epsilon"}
-    unknown = set(doc) - known
+    unknown = set(doc) - {"split_strategy", "dp_source", "credibility_floor", "tie_epsilon"}
     if unknown:
         raise SchemaError(f"unknown config keys: {', '.join(sorted(unknown))}")
     kwargs = {}
-    if "split_strategy" in doc:
-        try:
-            kwargs["split_strategy"] = SplitStrategy(doc["split_strategy"])
-        except ValueError:
-            raise SchemaError(f"unknown split_strategy {doc['split_strategy']!r}") from None
-    if "dp_source" in doc:
-        try:
-            kwargs["dp_source"] = DpSource(doc["dp_source"])
-        except ValueError:
-            raise SchemaError(f"unknown dp_source {doc['dp_source']!r}") from None
-    if "credibility_floor" in doc:
-        kwargs["credibility_floor"] = _number(doc["credibility_floor"], "config")
-    if "tie_epsilon" in doc:
-        kwargs["tie_epsilon"] = _number(doc["tie_epsilon"], "config")
+    for key, kind in (("split_strategy", SplitStrategy), ("dp_source", DpSource)):
+        if key in doc:
+            try:
+                kwargs[key] = kind(doc[key])
+            except ValueError:
+                raise SchemaError(f"unknown {key} {doc[key]!r}") from None
+    for key in ("credibility_floor", "tie_epsilon"):
+        if key in doc:
+            kwargs[key] = _number(doc[key], "config")
     return EvaluationConfig(**kwargs)
 
 
-def _alternative_to_dict(r: AlternativeReport) -> dict:
-    info = r.info_volume
+def _alternative_doc(alt: AlternativeReport, lists: bool) -> dict:
+    """An alternative's JSON object, its arrays as lists or as they are."""
+    doc = {"degeneracies": list(alt.degeneracies)}
+    for f in _JSON_FIELDS:
+        value = attrgetter(f.attr)(alt)
+        if f.key == "similarities" and np.isinf(value).any():
+            # a judgment identical to all its peers has infinite similarity,
+            # which standard JSON cannot hold as a number
+            value = [[fnum(v) if math.isinf(v) else v for v in row] for row in value.tolist()]
+        elif lists and f.axes:
+            value = value.tolist()
+        head, _, tail = f.key.partition(".")
+        if head.endswith("[]"):
+            for entry, row in zip(doc.setdefault(head[:-2], [{} for _ in value]), value):
+                entry[tail] = row
+        elif tail:
+            doc.setdefault(head, {})[tail] = value
+        else:
+            doc[head] = value
+    return doc
+
+
+def _report_doc(report: RoundReport, lists: bool) -> dict:
     return {
-        "z": r.z.tolist(),
-        "combined": r.combined.tolist(),
-        "distances": r.distances.tolist(),
-        # a judgment identical to all its peers has infinite similarity,
-        # which standard JSON cannot hold as a number
-        "similarities": [
-            [fnum(v) if math.isinf(v) else v for v in row] for row in r.similarities.tolist()
-        ],
-        "points": r.points.tolist(),
-        "weights": [
-            {"values": w, "degenerate": d}
-            for w, d in zip(r.weights.tolist(), r.degenerate.tolist())
-        ],
-        "group_distances": r.group_distances.tolist(),
-        "divergence": r.divergence.tolist(),
-        "credibility": r.credibility.values.tolist(),
-        "info_volume": {
-            "raw": info.raw.tolist(),
-            "modified": info.modified.tolist(),
-            "normalized": info.normalized.tolist(),
-        },
-        "attitude": r.attitude.values.tolist(),
-        "sharpness": r.sharpness.tolist(),
-        "owa": r.owa.tolist(),
-        "support": r.support.tolist(),
-        "series": [
-            {"dp": dp, "partials": partials}
-            for dp, partials in zip(r.series.tolist(), r.partials.tolist())
-        ],
-        "dslf": r.dslf.tolist(),
-        "gross_estimation": r.gross_estimation,
-        "degeneracies": list(r.degeneracies),
+        "round_label": report.round_label,
+        "criteria_labels": list(report.criteria_labels),
+        "expert_labels": list(report.expert_labels),
+        "config": _config_to_dict(report.config),
+        "alternatives": {k: _alternative_doc(a, lists) for k, a in report.alternatives.items()},
+        "ranking": list(report.ranking),
+        "ties": list(report.ties),
+        "degeneracies": list(report.degeneracies),
     }
 
 
@@ -362,101 +451,7 @@ def report_to_dict(report: RoundReport) -> dict:
     Every number is finite except an infinite similarity (the identical-
     judgment fallback), which is written as the string "inf".
     """
-    return {
-        "round_label": report.round_label,
-        "criteria_labels": list(report.criteria_labels),
-        "expert_labels": list(report.expert_labels),
-        "config": _config_to_dict(report.config),
-        "alternatives": {
-            label: _alternative_to_dict(r) for label, r in report.alternatives.items()
-        },
-        "ranking": list(report.ranking),
-        "ties": list(report.ties),
-        "degeneracies": list(report.degeneracies),
-    }
-
-
-def _array(value, shape: tuple[int, ...], loc: str, dtype=float) -> np.ndarray:
-    """A read-only array of value, which must have the given shape."""
-    try:
-        out = np.array(value, dtype=dtype)
-    except (TypeError, ValueError):
-        raise SchemaError(f"expected a numeric array of shape {shape}", location=loc) from None
-    if out.shape != shape:
-        raise SchemaError(f"expected shape {shape}, got {out.shape}", location=loc)
-    out.setflags(write=False)
-    return out
-
-
-def _alternative_from_dict(label: str, doc: Mapping, e: int, m: int, loc: str) -> AlternativeReport:
-    def array(key, shape, value=None, dtype=float):
-        return _array(doc[key] if value is None else value, shape, f"{loc}.{key}", dtype)
-
-    z = array("z", (e, m, 3))
-    combined = array("combined", (e, m, 2))
-    distances = array("distances", (e, m, m))
-    weights = array("weights", (e, m), [w["values"] for w in doc["weights"]])
-    owa = array("owa", (e, m))
-    sharpness = array("sharpness", (e,))
-    series = array("series", (e, m), [s["dp"] for s in doc["series"]])
-    # the value checks of the per-judgment and per-group types
-    for (mu, nu, rel), pair in zip(z.reshape(-1, 3).tolist(), combined.reshape(-1, 2).tolist()):
-        ZJudgment(IFN(mu, nu), rel)
-        IFN(*pair)
-    for d, w, o, p, s in zip(distances, weights, owa, sharpness.tolist(), series):
-        DistanceMatrix(d), CriterionWeights(w), OwaWeights(o), Sharpness(p), LikelihoodSeries(s)
-    info = doc["info_volume"]
-    return AlternativeReport(
-        label=label,
-        z=z,
-        combined=combined,
-        distances=distances,
-        similarities=array("similarities", (e, m)),
-        points=array("points", (e, m), dtype=int),
-        weights=weights,
-        degenerate=array("weights", (e,), [w["degenerate"] for w in doc["weights"]], bool),
-        group_distances=array("group_distances", (e, e)),
-        divergence=array("divergence", (e,)),
-        credibility=CredibilityVector(array("credibility", (e,))),
-        info_volume=InfoVolumeVector(
-            raw=array("info_volume", (e,), info["raw"]),
-            normalized=array("info_volume", (e,), info["normalized"]),
-        ),
-        attitude=AttitudeVector(array("attitude", (e,))),
-        sharpness=sharpness,
-        owa=owa,
-        support=array("support", (e, m)),
-        series=series,
-        dslf=array("dslf", (e,)),
-        gross_estimation=float(doc["gross_estimation"]),
-        degeneracies=tuple(doc["degeneracies"]),
-    )
-
-
-def report_from_dict(doc: Mapping) -> RoundReport:
-    """Rebuild a RoundReport from its dict form (inverse of report_to_dict).
-
-    An array whose shape does not fit the round's labels raises a
-    SchemaError that names the alternative and field. The derived
-    info_volume.modified and series[].partials are recomputed, not read.
-    """
-    criteria = tuple(doc["criteria_labels"])
-    experts = tuple(doc["expert_labels"])
-    return RoundReport(
-        round_label=doc["round_label"],
-        criteria_labels=criteria,
-        expert_labels=experts,
-        config=config_from_dict(doc["config"]),
-        alternatives={
-            label: _alternative_from_dict(
-                label, alt, len(experts), len(criteria), f"alternatives.{label}"
-            )
-            for label, alt in doc["alternatives"].items()
-        },
-        ranking=tuple(doc["ranking"]),
-        ties=tuple(doc["ties"]),
-        degeneracies=tuple(doc["degeneracies"]),
-    )
+    return _report_doc(report, lists=True)
 
 
 # ---------------------------------------------------------------------------
@@ -474,81 +469,93 @@ class TraceRecord(NamedTuple):
     value: str
 
 
-def _pair(mu: float, nu: float) -> str:
-    return f"({fnum(mu)},{fnum(nu)})"
+# one quoting writer for the process, as each csv.writer holds a 128 KiB buffer
+_QUOTED: list[str] = []
+_QUOTING = csv.writer(SimpleNamespace(write=_QUOTED.append), lineterminator="\n")
+
+_ROWS_PER_WRITE = 96  # bounds the text held at once
 
 
-def trace_records(report: RoundReport) -> tuple[TraceRecord, ...]:
-    """Flatten one report into trace records, one per quantity slot.
+def _quoted(fields) -> list[str]:
+    """Each field as csv.writer writes it within a row."""
+    _QUOTING.writerows([(field, "") for field in fields])
+    out = [row[:-2] for row in _QUOTED]
+    _QUOTED.clear()
+    return out
 
-    Each array of an alternative is read through one tolist call.
-    """
-    rows: list[TraceRecord] = []
-    rnd = report.round_label
-    criteria = report.criteria_labels
-    experts = report.expert_labels
-    pairs = [(i, j) for i in range(len(criteria)) for j in range(i + 1, len(criteria))]
-    directed = [(a, b) for a in range(len(experts)) for b in range(len(experts)) if a != b]
 
-    positions = {label: str(i + 1) for i, label in enumerate(report.ranking)}
-    for label, alt in report.alternatives.items():
-
-        def add(stage, expert, criterion, value):
-            rows.append(TraceRecord(rnd, label, stage, expert, criterion, value))
-
-        z = alt.z.tolist()
-        combined = alt.combined.tolist()
-        for expert, z_row, c_row in zip(experts, z, combined):
-            for criterion, (mu, nu, rel), (c_mu, c_nu) in zip(criteria, z_row, c_row):
-                add("reliability", expert, criterion, fnum(rel))
-                add("z", expert, criterion, f"({_pair(mu, nu)},{fnum(rel)})")
-                add("combined", expert, criterion, _pair(c_mu, c_nu))
-        for expert, d in zip(experts, alt.distances.tolist()):
-            for i, j in pairs:
-                add("distance", expert, f"{criteria[i]}-{criteria[j]}", fnum(d[i][j]))
-        for stage, table in (
-            ("similarity", alt.similarities),
-            ("points", alt.points),
-            ("weights", alt.weights),
-        ):
-            for expert, row in zip(experts, table.tolist()):
-                for criterion, value in zip(criteria, row):
-                    add(stage, expert, criterion, fnum(value))
-        gd = alt.group_distances.tolist()
-        for a, b in directed:
-            add("group_distance", f"{experts[a]}-{experts[b]}", "", fnum(gd[a][b]))
-        for stage, vector in (
-            ("divergence", alt.divergence),
-            ("credibility", alt.credibility.values),
-            ("ivf", alt.info_volume.raw),
-            ("ivf_norm", alt.info_volume.normalized),
-            ("alpha", alt.attitude.values),
-            ("dslf", alt.dslf),
-            ("sharpness", alt.sharpness),
-        ):
-            for expert, value in zip(experts, vector.tolist()):
-                add(stage, expert, "", fnum(value))
-        for expert, row in zip(experts, alt.owa.tolist()):
-            for j, w in enumerate(row):
-                add("owa_weight", expert, str(j + 1), fnum(w))
-        for expert, row in zip(experts, alt.support.tolist()):
-            for criterion, value in zip(criteria, row):
-                add("dp", expert, criterion, fnum(value))
-        add("ge", "", "", fnum(alt.gross_estimation))
-        add("rank", "", "", fnum(int(positions[label])))
+def _write_round_trace(report: RoundReport, write) -> None:
+    experts, criteria = report.expert_labels, report.criteria_labels
+    iu, ju = np.triu_indices(len(criteria), 1)
+    ia, ib = np.nonzero(~np.eye(len(experts), dtype=bool))
+    pairs = _quoted(f"{criteria[i]}-{criteria[j]}" for i, j in zip(iu.tolist(), ju.tolist()))
+    directed = _quoted(f"{experts[a]}-{experts[b]}" for a, b in zip(ia.tolist(), ib.tolist()))
+    ex, cr = _quoted(experts), _quoted(criteria)
+    # per axes, "expert,criterion," of each row in the order of the selected
+    # values; the distance keys, as many as the distances, are made as written
+    experts_per_pair = [head for head in (f"{x}," for x in ex) for _ in pairs]
+    pair_keys = [f"{p}," for p in pairs]
+    keys = {
+        "em": [f"{x},{c}," for x in ex for c in cr].__iter__,
+        "emm": lambda: map(str.__add__, experts_per_pair, itertools.cycle(pair_keys)),
+        "ee": [f"{d},," for d in directed].__iter__,
+        "e": [f"{x},," for x in ex].__iter__,
+        "ek": [f"{x},{k}," for x in ex for k in range(1, len(criteria) + 1)].__iter__,
+        "": [",,"].__iter__,
+    }
+    select = {"emm": lambda a: a[:, iu, ju], "ee": lambda a: a[ia, ib]}
+    positions = {label: i for i, label in enumerate(report.ranking, start=1)}
+    rnd, *quoted = _quoted((report.round_label, *report.alternatives))
+    for quoted_label, (label, alt) in zip(quoted, report.alternatives.items()):
+        prefix = f"{rnd},{quoted_label},"
+        for group in _TRACE_GROUPS:
+            axes = group[0].axes.rstrip("23")
+            pick = select.get(axes, np.asarray)
+            arrays = {f.attr: pick(attrgetter(f.attr)(alt)) for f in group}
+            if len(group) == 1 and axes == group[0].axes:
+                lead = f"{prefix}{group[0].stage},"
+                cells = map(fnum, np.ravel(arrays[group[0].attr]).tolist())
+                rows = map(str.__add__, keys[axes](), cells)
+            else:  # one format per key writes its row of every field of the group
+                parts, slots = [], {}
+                for attr, a in arrays.items():  # the numbers of each component, in order
+                    comps = [a[..., i] for i in range(a.shape[-1])] if a.ndim > len(axes) else [a]
+                    slots[attr] = [f"{{{len(parts) + i}}}" for i in range(1, len(comps) + 1)]
+                    parts += comps
+                lead, escaped = "", prefix.replace("{", "{{").replace("}", "}}")
+                template = "\n".join(
+                    f"{escaped}{f.stage},{{0}}" + f.cell.format(*slots[f.attr]) for f in group
+                )
+                numbers = (map(fnum, np.ravel(part).tolist()) for part in parts)
+                rows = map(template.format, keys[axes](), *numbers)
+            separator = "\n" + lead
+            while chunk := list(itertools.islice(rows, _ROWS_PER_WRITE // len(group))):
+                write(f"{lead}{separator.join(chunk)}\n")
+        write(f"{prefix}rank,,,{fnum(positions[label])}\n")
         if label in report.ties:
-            add("rank", "", "tie", fnum(1))
-    return tuple(rows)
+            write(f"{prefix}rank,,tie,{fnum(1)}\n")
+
+
+def write_trace(reports: Sequence[RoundReport], stream: TextIO) -> None:
+    """Write reports as the trace CSV into a text stream, one alternative at a time.
+
+    Rows end in LF; open a file for it with newline="".
+    """
+    stream.write(",".join(TRACE_HEADER) + "\n")
+    for report in reports:
+        _write_round_trace(report, stream.write)
 
 
 def emit_trace(reports: Sequence[RoundReport]) -> bytes:
     """Render reports as the trace CSV (UTF-8, LF line endings)."""
     buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TRACE_HEADER)
-    for report in reports:
-        writer.writerows(trace_records(report))
+    write_trace(reports, buf)
     return buf.getvalue().encode("utf-8")
+
+
+def trace_records(report: RoundReport) -> tuple[TraceRecord, ...]:
+    """One report's trace rows as records, one per quantity slot."""
+    return read_trace(emit_trace([report]))
 
 
 def read_trace(data: bytes | str) -> tuple[TraceRecord, ...]:
@@ -586,24 +593,16 @@ def plot_data(reports: Sequence[RoundReport]) -> bytes:
 
 
 def _render_human(report: RoundReport) -> str:
-    lines = [f"Round {report.round_label}"]
-    lines.append(" > ".join(report.ranking))
-    lines.append("")
-    lines.append("alternative  gross_estimation")
-    width = max((len(label) for label in report.alternatives), default=11)
+    width = max(map(len, report.alternatives), default=11)
+    lines = [f"Round {report.round_label}", " > ".join(report.ranking), ""]
+    lines += ["alternative  gross_estimation"]
     for label in report.ranking:
-        ge = report.alternatives[label].gross_estimation
-        lines.append(f"{label:<{width}}  {ge:.4f}")
+        lines.append(f"{label:<{width}}  {report.alternatives[label].gross_estimation:.4f}")
     if report.ties:
-        lines.append("")
-        lines.append("tied: " + ", ".join(report.ties))
+        lines += ["", "tied: " + ", ".join(report.ties)]
     if report.degeneracies:
-        lines.append("")
-        for note in report.degeneracies:
-            lines.append(f"note: {note}")
-    lines.append("")
-    lines.append("")
-    return "\n".join(lines)
+        lines += ["", *(f"note: {note}" for note in report.degeneracies)]
+    return "\n".join(lines + ["", ""])
 
 
 def emit_report(report: RoundReport, format: str = "human") -> bytes:
@@ -611,8 +610,7 @@ def emit_report(report: RoundReport, format: str = "human") -> bytes:
     if format == "human":
         return _render_human(report).encode("utf-8")
     if format == "json":
-        text = json.dumps(report_to_dict(report), indent=2, sort_keys=True, allow_nan=False)
-        return (text + "\n").encode("utf-8")
+        return _json_bytes(report)
     if format == "csv":
         return emit_trace([report])
     raise DomainError(f"unknown report format {format!r}")

@@ -420,6 +420,79 @@ def test_report_from_dict_checks_shapes_against_the_labels(report1):
         report_from_dict(doc)
 
 
+def _alternative_doc(report1, label="Supplier_2"):
+    doc = json.loads(json.dumps(report_to_dict(report1)))
+    return doc, doc["alternatives"][label]
+
+
+def test_report_from_dict_locates_a_missing_key(report1):
+    doc, alt = _alternative_doc(report1)
+    del alt["owa"]
+    with pytest.raises(SchemaError, match="missing required key 'owa'") as caught:
+        report_from_dict(doc)
+    assert caught.value.location == "alternatives.Supplier_2.owa"
+
+    doc, alt = _alternative_doc(report1)
+    del alt["info_volume"]["raw"]
+    with pytest.raises(SchemaError, match="missing required key 'raw'") as caught:
+        report_from_dict(doc)
+    assert caught.value.location == "alternatives.Supplier_2.info_volume"
+
+    doc = json.loads(json.dumps(report_to_dict(report1)))
+    del doc["ranking"]
+    with pytest.raises(SchemaError, match="missing required key 'ranking'"):
+        report_from_dict(doc)
+
+
+def test_report_from_dict_locates_a_weights_entry_that_is_not_an_object(report1):
+    doc, alt = _alternative_doc(report1)
+    alt["weights"][1] = [0.5, 0.5]
+    with pytest.raises(SchemaError, match="expected an object") as caught:
+        report_from_dict(doc)
+    assert caught.value.location == "alternatives.Supplier_2.weights"
+
+
+def test_report_from_dict_locates_a_series_entry_that_is_not_an_object(report1):
+    doc, alt = _alternative_doc(report1)
+    alt["series"][0] = 0.5
+    with pytest.raises(SchemaError, match="expected an object") as caught:
+        report_from_dict(doc)
+    assert caught.value.location == "alternatives.Supplier_2.series"
+
+
+@pytest.mark.parametrize(
+    "field, index, value, needle",
+    [
+        ("z", (1, 2, 0), 1.5, "IFN components must lie in"),
+        ("z", (1, 2, 1), float("nan"), "IFN components must be finite"),
+        ("z", (1, 2, 2), -0.25, "reliability must lie in"),
+        ("combined", (1, 2, 1), 0.95, "sum to"),
+    ],
+)
+def test_report_from_dict_locates_an_invalid_judgment(report1, field, index, value, needle):
+    doc, alt = _alternative_doc(report1)
+    e, i, k = index
+    alt[field][e][i][k] = value
+    with pytest.raises(DomainError, match=needle) as caught:
+        report_from_dict(doc)
+    assert caught.value.location == "Supplier_2, Expert_2, x3"
+
+
+def test_report_from_dict_checks_each_group_as_its_type_does(report1):
+    doc, alt = _alternative_doc(report1)
+    alt["weights"][2]["values"][0] += 0.25
+    with pytest.raises(DomainError, match="weights must sum to 1"):
+        report_from_dict(doc)
+    doc, alt = _alternative_doc(report1)
+    alt["distances"][0][0][1] = 0.5
+    with pytest.raises(DomainError, match="symmetric"):
+        report_from_dict(doc)
+    doc, alt = _alternative_doc(report1)
+    alt["series"][1]["dp"].reverse()
+    with pytest.raises(DomainError, match="sorted descending"):
+        report_from_dict(doc)
+
+
 def test_report_from_dict_restores_ranking(report1):
     rebuilt = report_from_dict(report_to_dict(report1))
     assert rebuilt.ranking == report1.ranking
