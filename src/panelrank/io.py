@@ -22,10 +22,9 @@ non-membership] pairs. Labels must be unique, every matrix must have one
 row per expert and one pair per criterion, and every pair must satisfy
 mu + nu <= 1. Unknown keys (such as "notes") are ignored.
 
-FIELDS declares each quantity of a report once. report_to_dict,
-reports.report_from_dict, TRACE_STAGES and both writers follow it. write_json
-and write_trace stream into a text stream and render each array in one
-pass, not one Python call per leaf.
+FIELDS declares each quantity of a report once; report_to_dict, TRACE_STAGES,
+reports.report_from_dict and the two writers follow it. Both writers stream
+into a text stream and render each array in one pass, not leaf by leaf.
 
 The trace is a flat CSV with header round,alternative,stage,expert,criterion,
 value and LF line endings. Scalar values are written as the shortest decimal
@@ -47,6 +46,7 @@ import io as _io
 import itertools
 import json
 import math
+import threading
 from collections.abc import Mapping, Sequence
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
@@ -162,8 +162,6 @@ def _write(o, level: int, write) -> None:
         write(text)
     elif not isinstance(o, (dict, list, tuple)):
         write(_scalar(o))
-    elif not o:
-        write("{}" if isinstance(o, dict) else "[]")
     else:
         opener, closer = "{}" if isinstance(o, dict) else "[]"
         if isinstance(o, dict):
@@ -171,20 +169,18 @@ def _write(o, level: int, write) -> None:
         else:
             items = [("", v) for v in o]
         inner = "\n" + "  " * (level + 1)
+        write(opener)
         for i, (key, value) in enumerate(items):
-            write(("," if i else opener) + inner + key)
+            write(("," if i else "") + inner + key)
             _write(value, level + 1, write)
-        write("\n" + "  " * level + closer)
+        write(("\n" + "  " * level if items else "") + closer)
 
 
 def write_json(doc, stream: TextIO) -> None:
-    """Write doc into stream as json.dumps(doc, indent=2, sort_keys=True,
-    allow_nan=False) gives it, and a newline.
-
-    An ndarray stands for its tolist() and a RoundReport for its
-    report_to_dict(). A non-finite number raises json.dumps's ValueError,
-    once the text before it is written.
-    """
+    """Write doc and a newline into stream, as json.dumps(doc, indent=2,
+    sort_keys=True, allow_nan=False) gives it; an ndarray stands for its
+    tolist() and a RoundReport for its report_to_dict(). A non-finite number
+    raises json.dumps's ValueError, once the text before it is written."""
     _write(doc, 0, stream.write)
     stream.write("\n")
 
@@ -469,18 +465,24 @@ class TraceRecord(NamedTuple):
     value: str
 
 
-# one quoting writer for the process, as each csv.writer holds a 128 KiB buffer
-_QUOTED: list[str] = []
-_QUOTING = csv.writer(SimpleNamespace(write=_QUOTED.append), lineterminator="\n")
-
 _ROWS_PER_WRITE = 96  # bounds the text held at once
+
+
+@functools.lru_cache(maxsize=None)
+def _quoting() -> tuple[list[str], csv.writer, threading.Lock]:
+    """One csv.writer for the process (each holds a 128 KiB buffer), its rows and a lock."""
+    rows: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=rows.append), lineterminator="\n")
+    return rows, writer, threading.Lock()
 
 
 def _quoted(fields) -> list[str]:
     """Each field as csv.writer writes it within a row."""
-    _QUOTING.writerows([(field, "") for field in fields])
-    out = [row[:-2] for row in _QUOTED]
-    _QUOTED.clear()
+    rows, writer, lock = _quoting()
+    with lock:
+        writer.writerows([(field, "") for field in fields])
+        out = [row[:-2] for row in rows]
+        rows.clear()
     return out
 
 
@@ -537,10 +539,8 @@ def _write_round_trace(report: RoundReport, write) -> None:
 
 
 def write_trace(reports: Sequence[RoundReport], stream: TextIO) -> None:
-    """Write reports as the trace CSV into a text stream, one alternative at a time.
-
-    Rows end in LF; open a file for it with newline="".
-    """
+    """Write reports as the trace CSV (LF line endings) into a text stream, such
+    as a file opened with newline="", one group of rows at a time."""
     stream.write(",".join(TRACE_HEADER) + "\n")
     for report in reports:
         _write_round_trace(report, stream.write)
@@ -594,8 +594,8 @@ def plot_data(reports: Sequence[RoundReport]) -> bytes:
 
 def _render_human(report: RoundReport) -> str:
     width = max(map(len, report.alternatives), default=11)
-    lines = [f"Round {report.round_label}", " > ".join(report.ranking), ""]
-    lines += ["alternative  gross_estimation"]
+    lines = [f"Round {report.round_label}", " > ".join(report.ranking)]
+    lines += ["", "alternative  gross_estimation"]
     for label in report.ranking:
         lines.append(f"{label:<{width}}  {report.alternatives[label].gross_estimation:.4f}")
     if report.ties:
