@@ -12,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import io
-import json
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -30,8 +29,8 @@ from panelrank import (
     emit_trace,
     evaluate_round,
     report_to_dict,
+    write_trace,
 )
-from panelrank.io import write_trace
 from oracles import emission as oracle
 from strategies import judgment_grids, random_round
 
@@ -165,7 +164,3 @@ def test_trace_writer_holds_one_alternative_not_the_round():
     assert sink.size == len(emit_trace([report]))
     assert peak < sink.size / 4
 
-
-def test_json_of_a_report_parses_back_to_its_dict_form():
-    report = evaluate_round(random_round(np.random.default_rng(5), 3, 4, 5))
-    assert json.loads(emit_report(report, "json")) == report_to_dict(report)
