@@ -469,7 +469,7 @@ _ROWS_PER_WRITE = 96  # bounds the text held at once
 
 
 @functools.lru_cache(maxsize=None)
-def _quoting() -> tuple[list[str], csv.writer, threading.Lock]:
+def _quoting() -> tuple:
     """One csv.writer for the process (each holds a 128 KiB buffer), its rows and a lock."""
     rows: list[str] = []
     writer = csv.writer(SimpleNamespace(write=rows.append), lineterminator="\n")
