@@ -34,10 +34,28 @@ from panelrank import (
     pairwise_distances,
 )
 from panelrank.core import SUM_TOL
-from oracles.distance import ORACLE_TOL, js_oracle
+from oracles.distance import ORACLE_TOL, js_distances_whole, js_oracle
 from strategies import SPECIAL, judgment_grids, round_of_panels
 
 EPS = np.finfo(float).eps
+
+# judgments at the kernel's edges: no committed mass, all mass on one side, no
+# hesitancy, and a hesitancy a hair below zero inside the sum tolerance
+EDGES = np.array(
+    [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.3, 0.7), (0.6, 0.4 + 0.5 * SUM_TOL), (1.0, 0.9 * SUM_TOL)]
+)
+
+
+def _edge_triples(rng, shape) -> np.ndarray:
+    """Mass triples [3, *shape]: a third from EDGES, a third (x, 1 - x), a third uniform."""
+    mu = rng.random(shape)
+    nu = rng.random(shape) * (1.0 - mu)
+    kind = rng.integers(3, size=shape)
+    edge = EDGES[rng.integers(len(EDGES), size=shape)]
+    mu = np.where(kind == 0, edge[..., 0], mu)
+    nu = np.where(kind == 0, edge[..., 1], np.where(kind == 1, 1.0 - mu, nu))
+    return mass_triples(mu, nu)
+
 
 def _triples(rows) -> np.ndarray:
     return mass_triples([[i.mu for i in r] for r in rows], [[i.nu for i in r] for r in rows])
@@ -124,6 +142,16 @@ def test_pipeline_distances_equal_the_scalar_oracles(rows):
         rtol=(m + e) * EPS,
         atol=e * ORACLE_TOL,
     )
+
+
+def test_kernel_equals_the_whole_stack_form_bit_for_bit():
+    # every pair of edge judgments, then enough drawn pairs for several passes
+    edges = mass_triples(EDGES[:, 0], EDGES[:, 1])
+    a, b = np.broadcast_arrays(edges[:, :, None], edges[:, None, :])
+    assert np.array_equal(js_distances(a, b), js_distances_whole(a, b))
+    rng = np.random.default_rng(3)
+    a, b = _edge_triples(rng, (5, 1001)), _edge_triples(rng, (5, 1001))
+    assert np.array_equal(js_distances(a, b), js_distances_whole(a, b))
 
 
 def test_kernel_at_the_largest_panel_with_every_special_value():
