@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -213,40 +214,98 @@ def mass_triples(mu, nu) -> np.ndarray:
     return np.stack((mu, nu, 1.0 - mu - nu))
 
 
+# The distance kernel works in passes of at most this many pairs. Each of
+# its four float buffers then holds [6, 2048] terms, 96 KiB, below glibc's
+# default 128 KiB mmap threshold, so the buffers come from the heap rather
+# than from fresh pages on every round; and a pass is long enough that numpy's
+# per-call overhead stays a small share of it.
+_PASS_PAIRS = 2048
+
+
+class PairScratch:
+    """The buffers of one distance pass, reused by every pass of a round.
+
+    Four float and three bool buffers of [6, _PASS_PAIRS] terms, and the
+    pass's distances. A pass of n pairs uses the first 6 n entries of each,
+    viewed as [6, n], so every view is contiguous. Not safe to share
+    between threads.
+    """
+
+    __slots__ = ("floats", "masks", "distances")
+
+    def __init__(self):
+        size = 6 * _PASS_PAIRS
+        self.floats = tuple(np.empty(size) for _ in range(4))
+        self.masks = tuple(np.empty(size, dtype=bool) for _ in range(3))
+        self.distances = np.empty(_PASS_PAIRS)
+
+
+def _pair_pass(
+    scratch: PairScratch, src: np.ndarray, first: np.ndarray, second: np.ndarray, out: np.ndarray
+) -> None:
+    # out[k] = the distance between src[:, first[k]] and src[:, second[k]],
+    # for at most _PASS_PAIRS pairs of a [3, ...] triple array. Terms t(a, b)
+    # sit in rows 0-2 and t(b, a) in rows 3-5, so row c pairs with row c +- 3;
+    # every ufunc writes into a buffer whose old value is spent
+    n = len(first)
+    x, s, q, logs = (b[: 6 * n].reshape(6, n) for b in scratch.floats)
+    defined, near, mask = (b[: 6 * n].reshape(6, n) for b in scratch.masks)
+    # "clip" takes straight into out; "raise" would buffer it, and the
+    # indices are in range by construction
+    np.take(src, first, axis=1, out=x[:3], mode="clip")
+    np.take(src, second, axis=1, out=x[3:], mode="clip")
+    np.add(x[:3], x[3:], out=s[:3])
+    s[3:] = s[:3]
+    np.greater(x, 0.0, out=defined)
+    defined &= np.greater(s, 0.0, out=mask)
+    np.logical_not(defined, out=mask)
+    np.copyto(s, 1.0, where=mask)
+    np.subtract(x[:3], x[3:], out=q[:3])
+    np.subtract(x[3:], x[:3], out=q[3:])
+    q /= s
+    np.less(np.abs(q, out=logs), _LOG1P_BELOW, out=near)
+    near &= defined
+    # every log gets a safe argument; where its branch is not taken the
+    # argument is +-0 for log1p and 1 for log, so the unused log is a zero,
+    # and a -0 is erased when the +0 of log(1) is added to it
+    np.multiply(q, near, out=logs)
+    np.log1p(logs, out=logs)
+    np.multiply(2.0, x, out=q)
+    q /= s
+    mask |= near
+    np.copyto(q, 1.0, where=mask)
+    logs += np.log(q, out=q)
+    logs *= x  # undefined terms: x * 0.0, a zero
+    # each component's two terms first, so the distance is symmetric bit for bit
+    np.add(logs[:3], logs[3:], out=s[:3])
+    total = np.add(s[0], s[1], out=q[0])
+    total += s[2]
+    total *= 0.5
+    np.sqrt(np.maximum(total, 0.0, out=total), out=out)
+
+
 def js_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Jensen-Shannon distances between aligned stacks of mass triples.
 
     a and b have shape [3, ...] with (mu, nu, xi) along the first axis, as
     built by mass_triples; the result has the trailing shape. Each term takes
     its log as js_distance does, log1p of the offset near x = y and log of
-    the ratio elsewhere, through numpy's vectorized log and log1p over the
-    whole term stack, and each component's two terms are added first, so
-    every entry is symmetric in a and b bit for bit and within 1e-15 of the
-    exact distance. It may differ from js_distance in the last place, where
-    numpy's log and libm's do.
+    the ratio elsewhere, through numpy's vectorized log and log1p, and each
+    component's two terms are added first, so every entry is symmetric in a
+    and b bit for bit and within 1e-15 of the exact distance. It may differ
+    from js_distance in the last place, where numpy's log and libm's do.
+    The pairs go through the kernel of the round passes, _PASS_PAIRS at a
+    time.
     """
-    x = np.concatenate((a, b))  # x[c] pairs with y[c]: terms t(a, b), then t(b, a)
-    y = np.concatenate((b, a))
-    s = x + y
-    defined = (x > 0.0) & (s > 0.0)
-    np.copyto(s, 1.0, where=~defined)
-    # the same operations as (x - y) / s, log1p(q) + log(2 x / s) and x * logs,
-    # each written into a buffer whose old value is spent, so that the term
-    # stack holds four float arrays at a time
-    q = np.subtract(x, y, out=y)
-    q /= s
-    near = defined & (np.abs(q) < _LOG1P_BELOW)
-    # every log gets a safe argument; where its branch is not taken the
-    # argument is 0 for log1p and 1 for log, so the unused log is exactly 0
-    logs = np.where(near, q, 0.0)
-    np.log1p(logs, out=logs)
-    ratio = np.multiply(2.0, x, out=q)
-    ratio /= s
-    np.copyto(ratio, 1.0, where=near | ~defined)
-    logs += np.log(ratio, out=ratio)
-    terms = np.multiply(x, logs, out=logs)  # undefined terms: x * 0.0, a zero
-    total = (terms[0] + terms[3]) + (terms[1] + terms[4]) + (terms[2] + terms[5])
-    return np.sqrt(np.maximum(0.5 * total, 0.0))
+    shape = np.shape(a)[1:]
+    n = math.prod(shape)
+    flat = np.concatenate((np.reshape(a, (3, n)), np.reshape(b, (3, n))), axis=1)
+    out = np.empty(n)
+    scratch = PairScratch()
+    for start in range(0, n, _PASS_PAIRS):
+        first = np.arange(start, min(start + _PASS_PAIRS, n))
+        _pair_pass(scratch, flat, first, first + n, out[start : start + _PASS_PAIRS])
+    return out.reshape(shape)
 
 
 @functools.lru_cache(maxsize=64)
@@ -263,7 +322,8 @@ def js_distance_matrices(triples: np.ndarray) -> np.ndarray:
 
     Returns [..., k, k]: symmetric, zero on the diagonal, each pair computed
     once by js_distances and mirrored, which is exact since js_distances is
-    symmetric bit for bit.
+    symmetric bit for bit. The per-alternative reference of the round
+    passes.
     """
     k = triples.shape[-1]
     rows, cols = _upper_pairs(k)
@@ -272,6 +332,98 @@ def js_distance_matrices(triples: np.ndarray) -> np.ndarray:
         triples[..., rows], triples[..., cols]
     )
     return out
+
+
+@functools.lru_cache(maxsize=32)
+def _block_pairs(k: int, lanes: int) -> tuple[int, tuple[np.ndarray, ...]]:
+    # The pairs i < j of k items in each of several lanes, for as many whole
+    # blocks as fit one pass (at least one). A block holds item i of lane c
+    # at i * lanes + c of its triples and the pair's distance at [c, i, j]
+    # and [c, j, i] of its [lanes, k, k] output; block b's entries are offset
+    # by b blocks. Returns the block count and the read-only pair lists
+    # (first item, second item, upper and lower output position), blocks
+    # outermost, so the pairs of fewer blocks are a prefix; sized by one
+    # pass or one block, whichever is larger.
+    rows, cols = _upper_pairs(k)
+    per_block = lanes * len(rows)
+    blocks = max(1, _PASS_PAIRS // max(per_block, 1))
+    block = np.arange(blocks)[:, None, None]
+    lane = np.arange(lanes)[None, :, None]
+    src = block * (k * lanes) + lane
+    dst = block * (lanes * k * k) + lane * (k * k)
+    lists = (
+        src + rows * lanes,
+        src + cols * lanes,
+        dst + rows * k + cols,
+        dst + cols * k + rows,
+    )
+    flat = tuple(a.reshape(-1) for a in lists)
+    for a in flat:
+        a.setflags(write=False)
+    return blocks, flat
+
+
+def _fill_blocks(
+    flat: np.ndarray, k: int, lanes: int, start: int, stop: int, scratch: PairScratch, out: np.ndarray
+) -> None:
+    # the pair distances of blocks start..stop of flat [3, blocks * k * lanes],
+    # at most one _block_pairs group of them, into out [(stop - start) * lanes
+    # * k * k]; the diagonal entries of out are left as they are
+    first, second, upper, lower = _block_pairs(k, lanes)[1]
+    src = flat[:, start * k * lanes : stop * k * lanes]
+    count = (stop - start) * lanes * (k * (k - 1) // 2)
+    for begin in range(0, count, _PASS_PAIRS):
+        end = min(begin + _PASS_PAIRS, count)
+        d = scratch.distances[: end - begin]
+        _pair_pass(scratch, src, first[begin:end], second[begin:end], d)
+        np.put(out, upper[begin:end], d)
+        np.put(out, lower[begin:end], d)
+
+
+def within_group_distances(triples: np.ndarray, scratch: PairScratch) -> np.ndarray:
+    """js_distance_matrices of a [3, ..., M] stack, bit for bit, in fixed-size passes.
+
+    Returns [..., M, M]. Every group's pairs go through passes of at most
+    _PASS_PAIRS pairs, several small groups to a pass or one large group in
+    several, so the working memory beyond the result is bounded by one pass
+    and one group, whatever the number of groups.
+    """
+    m = triples.shape[-1]
+    out = np.zeros(triples.shape[1:] + (m,))
+    flat = triples.reshape(3, -1)
+    groups = flat.shape[1] // m
+    step = _block_pairs(m, 1)[0]
+    for start in range(0, groups, step):
+        stop = min(start + step, groups)
+        _fill_blocks(flat, m, 1, start, stop, scratch, out.reshape(-1)[start * m * m : stop * m * m])
+    return out
+
+
+def cross_expert_distances(
+    triples: np.ndarray, scratch: PairScratch, reduce: Callable[[int, np.ndarray], None]
+) -> None:
+    """The distances between every two experts' judgments of a criterion, an alternative at a time.
+
+    triples is [3, A, E, M]. For each alternative a in order, calls
+    reduce(a, cross) with cross [E, E, M] holding the distance between
+    experts e and f on criterion m at [e, f, m], bit for bit
+    js_distance_matrices(triples[:, a].swapaxes(1, 2)).transpose(1, 2, 0),
+    as a view with those strides. The pairs go through passes of at most
+    _PASS_PAIRS pairs, a block of alternatives at a time, into one buffer
+    that every block reuses: reduce must be done with cross when it
+    returns.
+    """
+    _, n_alt, n_exp, m = triples.shape
+    flat = triples.reshape(3, -1)
+    step = min(_block_pairs(n_exp, m)[0], n_alt)
+    size = m * n_exp * n_exp
+    buffer = np.zeros(step * size)
+    for start in range(0, n_alt, step):
+        stop = min(start + step, n_alt)
+        block = buffer[: (stop - start) * size]
+        _fill_blocks(flat, n_exp, m, start, stop, scratch, block)
+        for a, cross in enumerate(block.reshape(stop - start, m, n_exp, n_exp), start):
+            reduce(a, cross.transpose(1, 2, 0))
 
 
 def split_hesitancy(ifn: IFN, strategy: SplitStrategy) -> tuple[float, float]:

@@ -26,7 +26,15 @@ from operator import attrgetter
 
 import numpy as np
 
-from .core import SplitStrategy, first_ifn_fault, js_distance_matrices, mass_triples, z_arrays
+from .core import (
+    PairScratch,
+    SplitStrategy,
+    cross_expert_distances,
+    first_ifn_fault,
+    mass_triples,
+    within_group_distances,
+    z_arrays,
+)
 from .credibility import (
     AttitudeVector,
     CredibilityVector,
@@ -252,8 +260,9 @@ def _evaluate_configs(
     - supports and their sorted series: split_strategy and dp_source;
     - soft likelihoods and gross estimation: once per config.
 
-    The distance kernel runs once per alternative: one call over the whole
-    round is no faster, and its temporaries would grow with the round.
+    The distances come from two round-level passes in fixed-size chunks,
+    within-group pairs first and cross-expert pairs after the weights, so
+    the kernel's working memory does not grow with the round.
     """
     labels = round_input.alternatives
     experts = round_input.expert_labels
@@ -276,20 +285,20 @@ def _evaluate_configs(
 
     z, combined = map(_readonly, z_arrays(mu, nu))
     triples = mass_triples(combined[..., 0], combined[..., 1])
-    within = np.empty((n_alt, n_exp, m, m))
-    for a in range(n_alt):
-        within[a] = js_distance_matrices(triples[:, a])
-    _readonly(within)
+    scratch = PairScratch()
+    within = _readonly(within_group_distances(triples, scratch))
 
     tie_epsilons = dict.fromkeys(c.tie_epsilon for c in configs)
     chains = {eps: weigh_groups(within, eps) for eps in tie_epsilons}
     gds = {eps: np.empty((n_alt, n_exp, n_exp)) for eps in chains}
-    # the cross-expert distances cross[e, f, i] of one alternative at a time,
-    # each reduced under every tie_epsilon's weights before the next
-    for a in range(n_alt):
-        cross = js_distance_matrices(triples[:, a].swapaxes(1, 2)).transpose(1, 2, 0)
+
+    def reduce(a, cross):
+        # one alternative's cross-expert distances under every tie_epsilon's
+        # weights, before the next block of alternatives overwrites them
         for eps, (_, _, w, _, _) in chains.items():
             gds[eps][a] = group_distance_matrix(cross, w[a])
+
+    cross_expert_distances(triples, scratch, reduce)
     weighed = {}
     for eps, (sm, po, w, identical, uniform) in chains.items():
         gd = gds[eps]

@@ -18,6 +18,7 @@ import functools
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from panelrank import (
     IFN,
@@ -33,7 +34,14 @@ from panelrank import (
     mass_triples,
     pairwise_distances,
 )
-from panelrank.core import SUM_TOL
+from panelrank.core import (
+    _PASS_PAIRS,
+    SUM_TOL,
+    PairScratch,
+    cross_expert_distances,
+    js_distance_matrices,
+    within_group_distances,
+)
 from oracles.distance import ORACLE_TOL, js_distances_whole, js_oracle
 from strategies import SPECIAL, judgment_grids, round_of_panels
 
@@ -152,6 +160,37 @@ def test_kernel_equals_the_whole_stack_form_bit_for_bit():
     rng = np.random.default_rng(3)
     a, b = _edge_triples(rng, (5, 1001)), _edge_triples(rng, (5, 1001))
     assert np.array_equal(js_distances(a, b), js_distances_whole(a, b))
+
+
+# [A, E, M] rounds whose pair counts land on the pass size: within-group
+# pairs A E M(M-1)/2 and cross-expert pairs per alternative M E(E-1)/2
+C = _PASS_PAIRS
+ROUND_SHAPES = (
+    (89, 23, 2),  # C - 1 within pairs in one pass
+    (C // 2, 2, 2),  # C within pairs
+    (683, 3, 2),  # C + 1 within pairs; blocks of 341 alternatives, the last of one
+    (1, 2, C - 1),  # C - 1 cross pairs
+    (3, 2, C // 2),  # two alternatives' C cross pairs to a pass, then one alone
+    (1, 2, C + 1),  # C + 1 cross pairs of one alternative, in two passes
+    (2, 2, 65),  # a group of 2080 within pairs, more than a pass holds
+    (5, 3, 4),  # a cross-expert block of five alternatives in one pass
+    (4, 30, 6),
+)
+
+
+@settings(max_examples=30)
+@given(st.sampled_from(ROUND_SHAPES), st.integers(0, 2**32 - 1))
+def test_round_passes_equal_the_per_alternative_matrices(shape, seed):
+    triples = _edge_triples(np.random.default_rng(seed), shape)
+    scratch = PairScratch()
+    within = within_group_distances(triples, scratch)
+    crossed = []
+    cross_expert_distances(triples, scratch, lambda a, cross: crossed.append((a, cross.copy())))
+    assert [a for a, _ in crossed] == list(range(shape[0]))
+    for a, cross in crossed:
+        assert np.array_equal(within[a], js_distance_matrices(triples[:, a]))
+        expected = js_distance_matrices(triples[:, a].swapaxes(1, 2)).transpose(1, 2, 0)
+        assert np.array_equal(cross, expected)
 
 
 def test_kernel_at_the_largest_panel_with_every_special_value():

@@ -9,8 +9,9 @@ round's [A, E, ...] arrays. These tests hold it to three things:
 - every stage equals the scalar functions of the chain, each fed the
   pipeline's own inputs to it. Equality is exact where the arithmetic is
   the same; the stages whose arithmetic differs are held to stated bounds;
-- memory beyond the report's arrays does not grow with the alternatives,
-  no per-group object is built, and from the file to the report no
+- memory beyond the report's arrays does not grow with the alternatives
+  and stays within a fixed bound at many criteria, no per-group object is
+  built, and from the file to the report no
   per-judgment object either.
 """
 
@@ -240,6 +241,13 @@ def test_working_memory_does_not_grow_with_the_alternatives():
         wide, alternatives=wide.alternatives[:6], judgments=wide.judgments[:6]
     )
     assert _peak_beyond_report(wide) <= 1.2 * _peak_beyond_report(narrow)
+
+
+def test_working_memory_is_bounded_by_the_distance_passes():
+    # 199,000 within-group pairs, about a hundred passes' worth; holding
+    # their terms at once would take tens of megabytes
+    round_input = random_round(np.random.default_rng(1), 1, 10, 200)
+    assert _peak_beyond_report(round_input) < 4 * 2**20
 
 
 @pytest.mark.parametrize(
