@@ -10,6 +10,7 @@ diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -52,7 +53,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built once per process: the parser is a web of reference cycles that
+    # only the cyclic collector frees, and parse_args keeps no state in it
     parser = _Parser(prog="panelrank", description="Evaluate expert judgment rounds.")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -40,6 +40,18 @@ def test_evaluate_round_filter(judgments, capsys):
     assert "Round r2" not in out
 
 
+def test_consecutive_calls_share_no_parsed_state(judgments, capsys):
+    # one parser serves every call in a process; nothing a call sets reaches the next
+    args = ["compare-configs", judgments, "--round", "r2", "--reference", "Supplier_1 > Supplier_2"]
+    assert cli_main(args) == 0
+    out = capsys.readouterr().out
+    assert "matches_reference" in out and "round r1" not in out
+    assert cli_main(["compare-configs", judgments]) == 0
+    out = capsys.readouterr().out
+    assert "matches_reference" not in out
+    assert all(f"round {label}" in out for label in ("r1", "r2", "r3"))
+
+
 def test_evaluate_unknown_round_lists_known_labels(judgments, capsys):
     assert cli_main(["evaluate", judgments, "--round", "r9"]) == 1
     err = capsys.readouterr().err
