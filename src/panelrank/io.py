@@ -470,18 +470,23 @@ _ROWS_PER_WRITE = 96  # bounds the text held at once
 
 @functools.lru_cache(maxsize=None)
 def _quoting() -> tuple:
-    """One csv.writer for the process (each holds a 128 KiB buffer), its rows and a lock."""
+    """One csv.writer for the process (each holds a 128 KiB buffer), its rows and a lock.
+
+    Its rows end in "\r\n", so that it quotes a field holding a carriage
+    return as well as one holding a newline: csv.writer quotes only the
+    characters of its line terminator, and csv.reader reads either as one.
+    """
     rows: list[str] = []
-    writer = csv.writer(SimpleNamespace(write=rows.append), lineterminator="\n")
+    writer = csv.writer(SimpleNamespace(write=rows.append), lineterminator="\r\n")
     return rows, writer, threading.Lock()
 
 
 def _quoted(fields) -> list[str]:
-    """Each field as csv.writer writes it within a row."""
+    """Each field as csv.writer writes it within a row, quoted if it holds "\r" or "\n"."""
     rows, writer, lock = _quoting()
     with lock:
         writer.writerows([(field, "") for field in fields])
-        out = [row[:-2] for row in rows]
+        out = [row[:-3] for row in rows]
         rows.clear()
     return out
 

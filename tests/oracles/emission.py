@@ -91,12 +91,17 @@ def trace_rows(report) -> list[tuple[str, ...]]:
 
 def trace_bytes(reports) -> bytes:
     """The trace CSV of reports (UTF-8, LF line endings)."""
+    rows = [TRACE_HEADER] + [row for report in reports for row in trace_rows(report)]
+    return "".join(map(_csv_line, rows)).encode("utf-8")
+
+
+def _csv_line(row) -> str:
+    # a "\r\n" terminator makes csv.writer quote a field holding a bare
+    # carriage return, which csv.reader would take for a line end; the
+    # line then ends in "\n"
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TRACE_HEADER)
-    for report in reports:
-        writer.writerows(trace_rows(report))
-    return buf.getvalue().encode("utf-8")
+    csv.writer(buf, lineterminator="\r\n").writerow(row)
+    return buf.getvalue()[:-2] + "\n"
 
 
 def alternative_dict(r) -> dict:

@@ -19,6 +19,7 @@ from panelrank import (
     Panel,
     PanelRankError,
     ParseError,
+    RoundInput,
     SchemaError,
     config_from_dict,
     emit_judgments,
@@ -587,6 +588,24 @@ def test_trace_round_trip_is_loss_free(report1):
     assert emitted.decode("utf-8").splitlines()[0] == ",".join(TRACE_HEADER)
     again = emit_trace([report1])
     assert again == emitted
+
+
+def test_labels_with_carriage_returns_round_trip():
+    # csv.reader ends a line at a bare "\r", so such labels must be quoted
+    round_input = RoundInput(
+        "r\r1",
+        ("x1", "x\r2"),
+        ("E\r1", "E2"),
+        ("A", "B\r"),
+        [[[(0.5, 0.2), (0.3, 0.3)], [(0.4, 0.4), (0.2, 0.6)]]] * 2,
+    )
+    report = evaluate_round(round_input)
+    records = read_trace(emit_trace([report]))
+    assert records == trace_records(report)
+    assert {r.round for r in records} == {"r\r1"}
+    assert {r.alternative for r in records} == {"A", "B\r"}
+    assert {"x1", "x\r2", "x1-x\r2"} <= {r.criterion for r in records}
+    assert {"E\r1", "E2", "E\r1-E2", "E2-E\r1"} <= {r.expert for r in records}
 
 
 def test_read_trace_diagnoses_bad_input():
