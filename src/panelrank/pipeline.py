@@ -315,7 +315,14 @@ def _evaluate_configs(
         if key not in attitudes:
             cr = credibility_shares(div, config.credibility_floor)
             alpha = attitude_shares(iv_shares, cr)
-            # the types check each alternative's shares, alpha inside (0, 1)
+            outside = np.argwhere(~((alpha > 0.0) & (alpha < 1.0)))
+            if outside.size:
+                a, e = outside[0]
+                raise DomainError(
+                    f"attitude characters must lie strictly in (0, 1), got {alpha[a, e]}",
+                    location=f"{labels[a]}/{experts[e]}",
+                )
+            # the types check each alternative's shares
             checked = [CredibilityVector(row) for row in cr], [AttitudeVector(row) for row in alpha]
             sharp = _readonly((1.0 - alpha) / alpha)  # as sharpness() gives it
             attitudes[key] = (*checked, sharp, _readonly(owa_matrix(m, sharp)))

@@ -286,6 +286,16 @@ def test_evaluate_all_isolates_failing_rounds(rounds):
     assert results[1].error_type == "DomainError"
 
 
+@pytest.mark.parametrize("seed, alternatives, where", [(3, 3, "A2/E3"), (1, 1, "A0/E0")])
+def test_a_saturated_attitude_fails_with_its_location(seed, alternatives, where):
+    # at 300 criteria one expert's information-volume share rounds to 1.0
+    # (the smallest share is about 1e-193), and so does its attitude
+    round_input = random_round(np.random.default_rng(seed), alternatives, 4, 300)
+    with pytest.raises(DomainError, match="strictly in") as caught:
+        evaluate_round(round_input)
+    assert caught.value.location == where
+
+
 # ---------------------------------------------------------------------------
 # config comparison
 
