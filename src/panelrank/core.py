@@ -225,26 +225,27 @@ _PASS_PAIRS = 2048
 class PairScratch:
     """The buffers of one distance pass, reused by every pass of a round.
 
-    Four float and three bool buffers of [6, _PASS_PAIRS] terms, and the
-    pass's distances. A pass of n pairs uses the first 6 n entries of each,
-    viewed as [6, n], so every view is contiguous. Not safe to share
+    Room for passes of up to `pairs` pairs, and never more than
+    _PASS_PAIRS: four float and three bool buffers of [6, pairs] terms, and
+    the pass's distances. A pass of n pairs uses the first 6 n entries of
+    each, viewed as [6, n], so every view is contiguous. Not safe to share
     between threads.
     """
 
     __slots__ = ("floats", "masks", "distances")
 
-    def __init__(self):
-        size = 6 * _PASS_PAIRS
-        self.floats = tuple(np.empty(size) for _ in range(4))
-        self.masks = tuple(np.empty(size, dtype=bool) for _ in range(3))
-        self.distances = np.empty(_PASS_PAIRS)
+    def __init__(self, pairs: int = _PASS_PAIRS):
+        pairs = min(pairs, _PASS_PAIRS)
+        self.floats = tuple(np.empty(6 * pairs) for _ in range(4))
+        self.masks = tuple(np.empty(6 * pairs, dtype=bool) for _ in range(3))
+        self.distances = np.empty(pairs)
 
 
 def _pair_pass(
     scratch: PairScratch, src: np.ndarray, first: np.ndarray, second: np.ndarray, out: np.ndarray
 ) -> None:
     # out[k] = the distance between src[:, first[k]] and src[:, second[k]],
-    # for at most _PASS_PAIRS pairs of a [3, ...] triple array. Terms t(a, b)
+    # for as many pairs as scratch has room for, of a [3, ...] triple array. Terms t(a, b)
     # sit in rows 0-2 and t(b, a) in rows 3-5, so row c pairs with row c +- 3;
     # every ufunc writes into a buffer whose old value is spent
     n = len(first)
@@ -301,7 +302,7 @@ def js_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = math.prod(shape)
     flat = np.concatenate((np.reshape(a, (3, n)), np.reshape(b, (3, n))), axis=1)
     out = np.empty(n)
-    scratch = PairScratch()
+    scratch = PairScratch(n)
     for start in range(0, n, _PASS_PAIRS):
         first = np.arange(start, min(start + _PASS_PAIRS, n))
         _pair_pass(scratch, flat, first, first + n, out[start : start + _PASS_PAIRS])

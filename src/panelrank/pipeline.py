@@ -285,7 +285,9 @@ def _evaluate_configs(
 
     z, combined = map(_readonly, z_arrays(mu, nu))
     triples = mass_triples(combined[..., 0], combined[..., 1])
-    scratch = PairScratch()
+    # room for the larger phase: A E M(M - 1) / 2 within-group pairs and
+    # A M E(E - 1) / 2 cross-expert pairs
+    scratch = PairScratch(n_alt * n_exp * m * (max(m, n_exp) - 1) // 2)
     within = _readonly(within_group_distances(triples, scratch))
 
     tie_epsilons = dict.fromkeys(c.tie_epsilon for c in configs)
