@@ -335,19 +335,22 @@ def js_distance_matrices(triples: np.ndarray) -> np.ndarray:
     return out
 
 
+def _blocks_per_pass(k: int, lanes: int) -> int:
+    # as many whole blocks of pairs as fit one pass, at least one
+    return max(1, _PASS_PAIRS // max(lanes * (k * (k - 1) // 2), 1))
+
+
 @functools.lru_cache(maxsize=32)
-def _block_pairs(k: int, lanes: int) -> tuple[int, tuple[np.ndarray, ...]]:
-    # The pairs i < j of k items in each of several lanes, for as many whole
-    # blocks as fit one pass (at least one). A block holds item i of lane c
-    # at i * lanes + c of its triples and the pair's distance at [c, i, j]
+def _block_pairs(k: int, lanes: int, blocks: int) -> tuple[np.ndarray, ...]:
+    # The pairs i < j of k items in each of several lanes, for `blocks`
+    # blocks, at most _blocks_per_pass of them. A block holds item i of lane
+    # c at i * lanes + c of its triples and the pair's distance at [c, i, j]
     # and [c, j, i] of its [lanes, k, k] output; block b's entries are offset
-    # by b blocks. Returns the block count and the read-only pair lists
-    # (first item, second item, upper and lower output position), blocks
-    # outermost, so the pairs of fewer blocks are a prefix; sized by one
-    # pass or one block, whichever is larger.
+    # by b blocks. Returns the read-only pair lists (first item, second item,
+    # upper and lower output position), blocks outermost, so the pairs of
+    # fewer blocks are a prefix; sized by one pass or one block, whichever
+    # is larger, and never by more blocks than a round has.
     rows, cols = _upper_pairs(k)
-    per_block = lanes * len(rows)
-    blocks = max(1, _PASS_PAIRS // max(per_block, 1))
     block = np.arange(blocks)[:, None, None]
     lane = np.arange(lanes)[None, :, None]
     src = block * (k * lanes) + lane
@@ -361,16 +364,23 @@ def _block_pairs(k: int, lanes: int) -> tuple[int, tuple[np.ndarray, ...]]:
     flat = tuple(a.reshape(-1) for a in lists)
     for a in flat:
         a.setflags(write=False)
-    return blocks, flat
+    return flat
 
 
 def _fill_blocks(
-    flat: np.ndarray, k: int, lanes: int, start: int, stop: int, scratch: PairScratch, out: np.ndarray
+    flat: np.ndarray,
+    k: int,
+    lanes: int,
+    step: int,
+    start: int,
+    stop: int,
+    scratch: PairScratch,
+    out: np.ndarray,
 ) -> None:
     # the pair distances of blocks start..stop of flat [3, blocks * k * lanes],
-    # at most one _block_pairs group of them, into out [(stop - start) * lanes
-    # * k * k]; the diagonal entries of out are left as they are
-    first, second, upper, lower = _block_pairs(k, lanes)[1]
+    # at most step of them, into out [(stop - start) * lanes * k * k]; the
+    # diagonal entries of out are left as they are
+    first, second, upper, lower = _block_pairs(k, lanes, step)
     src = flat[:, start * k * lanes : stop * k * lanes]
     count = (stop - start) * lanes * (k * (k - 1) // 2)
     for begin in range(0, count, _PASS_PAIRS):
@@ -393,10 +403,11 @@ def within_group_distances(triples: np.ndarray, scratch: PairScratch) -> np.ndar
     out = np.zeros(triples.shape[1:] + (m,))
     flat = triples.reshape(3, -1)
     groups = flat.shape[1] // m
-    step = _block_pairs(m, 1)[0]
+    step = min(_blocks_per_pass(m, 1), groups)
     for start in range(0, groups, step):
         stop = min(start + step, groups)
-        _fill_blocks(flat, m, 1, start, stop, scratch, out.reshape(-1)[start * m * m : stop * m * m])
+        block = out.reshape(-1)[start * m * m : stop * m * m]
+        _fill_blocks(flat, m, 1, step, start, stop, scratch, block)
     return out
 
 
@@ -416,13 +427,13 @@ def cross_expert_distances(
     """
     _, n_alt, n_exp, m = triples.shape
     flat = triples.reshape(3, -1)
-    step = min(_block_pairs(n_exp, m)[0], n_alt)
+    step = min(_blocks_per_pass(n_exp, m), n_alt)
     size = m * n_exp * n_exp
     buffer = np.zeros(step * size)
     for start in range(0, n_alt, step):
         stop = min(start + step, n_alt)
         block = buffer[: (stop - start) * size]
-        _fill_blocks(flat, n_exp, m, start, stop, scratch, block)
+        _fill_blocks(flat, n_exp, m, step, start, stop, scratch, block)
         for a, cross in enumerate(block.reshape(stop - start, m, n_exp, n_exp), start):
             reduce(a, cross.transpose(1, 2, 0))
 

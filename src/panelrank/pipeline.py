@@ -324,7 +324,7 @@ def _evaluate_configs(
                     f"attitude characters must lie strictly in (0, 1), got {alpha[a, e]}",
                     location=f"{labels[a]}/{experts[e]}",
                 )
-            # the types check each alternative's shares
+            # the types check that each alternative's shares sum to 1
             checked = [CredibilityVector(row) for row in cr], [AttitudeVector(row) for row in alpha]
             sharp = _readonly((1.0 - alpha) / alpha)  # as sharpness() gives it
             attitudes[key] = (*checked, sharp, _readonly(owa_matrix(m, sharp)))
