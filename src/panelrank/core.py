@@ -216,9 +216,9 @@ def mass_triples(mu, nu) -> np.ndarray:
 
 # The distance kernel works in passes of at most this many pairs. Each of
 # its four float buffers then holds [6, 2048] terms, 96 KiB, below glibc's
-# default 128 KiB mmap threshold, so the buffers come from the heap rather
-# than from fresh pages on every round; and a pass is long enough that numpy's
-# per-call overhead stays a small share of it.
+# default 128 KiB mmap threshold, so malloc takes them from the heap, whose
+# pages it can reuse, rather than mapping fresh ones for each; and a pass is
+# long enough that numpy's per-call overhead stays a small share of it.
 _PASS_PAIRS = 2048
 
 
@@ -244,10 +244,10 @@ class PairScratch:
 def _pair_pass(
     scratch: PairScratch, src: np.ndarray, first: np.ndarray, second: np.ndarray, out: np.ndarray
 ) -> None:
-    # out[k] = the distance between src[:, first[k]] and src[:, second[k]],
-    # for as many pairs as scratch has room for, of a [3, ...] triple array. Terms t(a, b)
-    # sit in rows 0-2 and t(b, a) in rows 3-5, so row c pairs with row c +- 3;
-    # every ufunc writes into a buffer whose old value is spent
+    # out[k] = the distance between src[:, first[k]] and src[:, second[k]]
+    # of a [3, ...] triple array, for as many pairs as scratch has room for.
+    # Terms t(a, b) sit in rows 0-2 and t(b, a) in rows 3-5, so row c pairs
+    # with row c +- 3; every ufunc writes into a buffer whose old value is spent
     n = len(first)
     x, s, q, logs = (b[: 6 * n].reshape(6, n) for b in scratch.floats)
     defined, near, mask = (b[: 6 * n].reshape(6, n) for b in scratch.masks)

@@ -50,7 +50,14 @@ EPS = np.finfo(float).eps
 # judgments at the kernel's edges: no committed mass, all mass on one side, no
 # hesitancy, and a hesitancy a hair below zero inside the sum tolerance
 EDGES = np.array(
-    [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.3, 0.7), (0.6, 0.4 + 0.5 * SUM_TOL), (1.0, 0.9 * SUM_TOL)]
+    [
+        (0.0, 0.0),
+        (1.0, 0.0),
+        (0.0, 1.0),
+        (0.3, 0.7),
+        (0.6, 0.4 + 0.5 * SUM_TOL),
+        (1.0, 0.9 * SUM_TOL),
+    ]
 )
 
 
