@@ -11,8 +11,11 @@ Z-number transform, information volume and distance also come in array
 forms over whole stacks of judgments, which the pipeline uses; the scalar
 forms are their reference.
 
-All types are immutable and all functions are pure, so values can be shared
-and evaluated in parallel freely.
+The types are immutable and the functions pure, so values can be shared
+freely, with one exception: the distance passes write into a PairScratch,
+the kernel's reusable buffers, so a thread needs its own. Threads gain
+nothing here, though: on a shared two-core host, two threads evaluating
+6 x 30 x 6 rounds ran at 0.80-1.03 times the speed of one.
 """
 
 from __future__ import annotations
@@ -219,6 +222,10 @@ def mass_triples(mu, nu) -> np.ndarray:
 # default 128 KiB mmap threshold, so malloc takes them from the heap, whose
 # pages it can reuse, rather than mapping fresh ones for each; and a pass is
 # long enough that numpy's per-call overhead stays a small share of it.
+# Passes of 4096 pairs, with 192 KiB buffers, ran the benchmark's
+# 3 x 4 x 40 workload 3-6% slower and its 6 x 30 x 6 one no faster. Rounds
+# whose groups or alternatives hold more pairs than a pass are grouped by
+# _blocks_per_step so that their passes run nearly full.
 _PASS_PAIRS = 2048
 
 
@@ -226,10 +233,11 @@ class PairScratch:
     """The buffers of one distance pass, reused by every pass of a round.
 
     Room for passes of up to `pairs` pairs, and never more than
-    _PASS_PAIRS: four float and three bool buffers of [6, pairs] terms, and
+    _PASS_PAIRS: four float and two bool buffers of [6, pairs] terms, and
     the pass's distances. A pass of n pairs uses the first 6 n entries of
-    each, viewed as [6, n], so every view is contiguous. Not safe to share
-    between threads.
+    each, viewed as [6, n], so every view is contiguous. Every pass
+    overwrites them, so one PairScratch serves one thread: give each
+    thread its own.
     """
 
     __slots__ = ("floats", "masks", "distances")
@@ -237,7 +245,7 @@ class PairScratch:
     def __init__(self, pairs: int = _PASS_PAIRS):
         pairs = min(pairs, _PASS_PAIRS)
         self.floats = tuple(np.empty(6 * pairs) for _ in range(4))
-        self.masks = tuple(np.empty(6 * pairs, dtype=bool) for _ in range(3))
+        self.masks = tuple(np.empty(6 * pairs, dtype=bool) for _ in range(2))
         self.distances = np.empty(pairs)
 
 
@@ -247,40 +255,54 @@ def _pair_pass(
     # out[k] = the distance between src[:, first[k]] and src[:, second[k]]
     # of a [3, ...] triple array, for as many pairs as scratch has room for.
     # Terms t(a, b) sit in rows 0-2 and t(b, a) in rows 3-5, so row c pairs
-    # with row c +- 3; every ufunc writes into a buffer whose old value is spent
+    # with row c +- 3. A pair's sum s, offset q = (a - b) / s and test
+    # |q| < _LOG1P_BELOW are taken once, in rows 0-2, for both its terms:
+    # t(b, a) has the offset (b - a) / s, which is -q exactly. Every ufunc
+    # writes into a buffer whose old value is spent.
     n = len(first)
-    x, s, q, logs = (b[: 6 * n].reshape(6, n) for b in scratch.floats)
-    defined, near, mask = (b[: 6 * n].reshape(6, n) for b in scratch.masks)
+    x, pair, ratio, mask = (b[: 6 * n].reshape(6, n) for b in scratch.floats)
+    defined, flags = (b[: 6 * n].reshape(6, n) for b in scratch.masks)
     # "clip" takes straight into out; "raise" would buffer it, and the
     # indices are in range by construction
     np.take(src, first, axis=1, out=x[:3], mode="clip")
     np.take(src, second, axis=1, out=x[3:], mode="clip")
-    np.add(x[:3], x[3:], out=s[:3])
-    s[3:] = s[:3]
-    np.greater(x, 0.0, out=defined)
-    defined &= np.greater(s, 0.0, out=mask)
-    np.logical_not(defined, out=mask)
-    np.copyto(s, 1.0, where=mask)
-    np.subtract(x[:3], x[3:], out=q[:3])
-    np.subtract(x[3:], x[:3], out=q[3:])
+    s, q = pair[:3], pair[3:]
+    np.add(x[:3], x[3:], out=s)
+    # a term is defined where its x > 0 and s > 0; where s <= 0 neither is,
+    # and s = 1 keeps the divisions finite
+    positive = np.greater(s, 0.0, out=flags[:3])
+    halves = np.greater(x, 0.0, out=defined).reshape(2, 3, n)
+    halves &= positive
+    np.copyto(s, 1.0, where=np.logical_not(positive, out=flags[3:]))
+    np.subtract(x[:3], x[3:], out=q)
     q /= s
-    np.less(np.abs(q, out=logs), _LOG1P_BELOW, out=near)
-    near &= defined
-    # every log gets a safe argument; where its branch is not taken the
-    # argument is +-0 for log1p and 1 for log, so the unused log is a zero,
-    # and a -0 is erased when the +0 of log(1) is added to it
-    np.multiply(q, near, out=logs)
-    np.log1p(logs, out=logs)
-    np.multiply(2.0, x, out=q)
-    q /= s
-    mask |= near
-    np.copyto(q, 1.0, where=mask)
-    logs += np.log(q, out=q)
-    logs *= x  # undefined terms: x * 0.0, a zero
-    # each component's two terms first, so the distance is symmetric bit for bit
-    np.add(logs[:3], logs[3:], out=s[:3])
-    total = np.add(s[0], s[1], out=q[0])
-    total += s[2]
+    near = np.less(np.abs(q, out=mask[:3]), _LOG1P_BELOW, out=flags[:3])
+    # The logs take their arguments through 0/1 float masks m, which select
+    # exactly: r m + (1 - m) is r or 1, and q m is q or +-0. log gets 2x / s
+    # at the far defined terms and 1, whose log is +0, elsewhere; log1p gets
+    # +-q at the near defined terms and +-0 elsewhere, far offsets included,
+    # which may round to -1. Where s > 0, a near offset means x > 0 in both
+    # halves, so rows 0-2 of near & defined hold for rows 3-5 too.
+    np.multiply(x, 2.0, out=ratio)
+    quotient = ratio.reshape(2, 3, n)
+    quotient /= s
+    np.greater(halves, near, out=mask.reshape(2, 3, n))
+    ratio *= mask
+    np.subtract(1.0, mask, out=mask)
+    ratio += mask
+    np.log(ratio, out=ratio)
+    np.logical_and(near, defined[:3], out=mask[:3])
+    mask[:3] *= q
+    np.negative(mask[:3], out=mask[3:])
+    np.log1p(mask, out=mask)
+    # a -0 from log1p is erased by the +0 of log(1) added to it, and the
+    # undefined terms are x * +0, a zero
+    ratio += mask
+    ratio *= x
+    # each component's two terms first, so the distance is symmetric bit
+    # for bit, then the components in order
+    terms = np.add(ratio[:3], ratio[3:], out=pair[:3])
+    total = np.add.reduce(terms, axis=0, out=mask[0])
     total *= 0.5
     np.sqrt(np.maximum(total, 0.0, out=total), out=out)
 
@@ -335,21 +357,41 @@ def js_distance_matrices(triples: np.ndarray) -> np.ndarray:
     return out
 
 
-def _blocks_per_pass(k: int, lanes: int) -> int:
-    # as many whole blocks of pairs as fit one pass, at least one
-    return max(1, _PASS_PAIRS // max(lanes * (k * (k - 1) // 2), 1))
+# A step of blocks larger than a pass spans at most this many passes, so the
+# block buffer of cross_expert_distances and the cached pair lists stay a
+# few passes' size.
+_STEP_PASSES = 4
+
+
+def _blocks_per_step(k: int, lanes: int, blocks: int) -> int:
+    # How many of `blocks` blocks of pairs to take a step at a time. Blocks
+    # that fit a pass go as many whole blocks to a pass as fit. A larger
+    # block spills into a part-full pass, so those go as many at a time,
+    # within _STEP_PASSES passes, as leave the fewest passes over all
+    # blocks, the fewest blocks on a tie.
+    per = max(lanes * (k * (k - 1) // 2), 1)
+    if per <= _PASS_PAIRS:
+        return min(_PASS_PAIRS // per, blocks)
+
+    def passes(step: int) -> int:
+        whole, rest = divmod(blocks, step)
+        return whole * -(-step * per // _PASS_PAIRS) + -(-rest * per // _PASS_PAIRS)
+
+    most = min(max(1, _STEP_PASSES * _PASS_PAIRS // per), blocks)
+    return min(range(1, most + 1), key=passes)
 
 
 @functools.lru_cache(maxsize=32)
 def _block_pairs(k: int, lanes: int, blocks: int) -> tuple[np.ndarray, ...]:
     # The pairs i < j of k items in each of several lanes, for `blocks`
-    # blocks, at most _blocks_per_pass of them. A block holds item i of lane
+    # blocks, at most _blocks_per_step of them. A block holds item i of lane
     # c at i * lanes + c of its triples and the pair's distance at [c, i, j]
     # and [c, j, i] of its [lanes, k, k] output; block b's entries are offset
     # by b blocks. Returns the read-only pair lists (first item, second item,
     # upper and lower output position), blocks outermost, so the pairs of
     # fewer blocks are a prefix; sized by one pass or one block, whichever
-    # is larger, and never by more blocks than a round has.
+    # is larger, or by at most _STEP_PASSES passes where a block spills over
+    # a pass, and never by more blocks than a round has.
     rows, cols = _upper_pairs(k)
     block = np.arange(blocks)[:, None, None]
     lane = np.arange(lanes)[None, :, None]
@@ -387,23 +429,25 @@ def _fill_blocks(
         end = min(begin + _PASS_PAIRS, count)
         d = scratch.distances[: end - begin]
         _pair_pass(scratch, src, first[begin:end], second[begin:end], d)
-        np.put(out, upper[begin:end], d)
-        np.put(out, lower[begin:end], d)
+        # an index assignment scatters about three times as fast as np.put
+        out[upper[begin:end]] = d
+        out[lower[begin:end]] = d
 
 
 def within_group_distances(triples: np.ndarray, scratch: PairScratch) -> np.ndarray:
     """js_distance_matrices of a [3, ..., M] stack, bit for bit, in fixed-size passes.
 
     Returns [..., M, M]. Every group's pairs go through passes of at most
-    _PASS_PAIRS pairs, several small groups to a pass or one large group in
-    several, so the working memory beyond the result is bounded by one pass
-    and one group, whatever the number of groups.
+    _PASS_PAIRS pairs, several small groups to a pass, or large groups a
+    few at a time over several passes that run nearly full, so the working
+    memory beyond the result is bounded by a few passes and one group,
+    whatever the number of groups.
     """
     m = triples.shape[-1]
     out = np.zeros(triples.shape[1:] + (m,))
     flat = triples.reshape(3, -1)
     groups = flat.shape[1] // m
-    step = min(_blocks_per_pass(m, 1), groups)
+    step = _blocks_per_step(m, 1, groups)
     for start in range(0, groups, step):
         stop = min(start + step, groups)
         block = out.reshape(-1)[start * m * m : stop * m * m]
@@ -423,11 +467,15 @@ def cross_expert_distances(
     as a view with those strides. The pairs go through passes of at most
     _PASS_PAIRS pairs, a block of alternatives at a time, into one buffer
     that every block reuses: reduce must be done with cross when it
-    returns.
+    returns. A block holds as many alternatives as fit one pass, or, where
+    one alternative's pairs overflow a pass, the few, within _STEP_PASSES
+    passes, whose passes run fullest: at 6 x 30 x 6 three alternatives'
+    7,830 pairs fill four passes, where one alternative's 2,610 would fill
+    one and leave a 562-pair tail.
     """
     _, n_alt, n_exp, m = triples.shape
     flat = triples.reshape(3, -1)
-    step = min(_blocks_per_pass(n_exp, m), n_alt)
+    step = _blocks_per_step(n_exp, m, n_alt)
     size = m * n_exp * n_exp
     buffer = np.zeros(step * size)
     for start in range(0, n_alt, step):

@@ -583,14 +583,19 @@ def read_trace(data: bytes | str) -> tuple[TraceRecord, ...]:
 
 
 def plot_data(reports: Sequence[RoundReport]) -> bytes:
-    """Per-alternative gross estimation series for external plotting."""
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("round", "alternative", "gross_estimation"))
+    """Per-alternative gross estimation series for external plotting.
+
+    CSV rows ending in "\n", one per alternative under a header. Labels are
+    quoted as the trace quotes them, so one holding a carriage return reads
+    back through csv.reader.
+    """
+    lines = ["round,alternative,gross_estimation\n"]
     for report in reports:
-        for label, alt in report.alternatives.items():
-            writer.writerow((report.round_label, label, fnum(alt.gross_estimation)))
-    return buf.getvalue().encode("utf-8")
+        (round_label,) = _quoted([report.round_label])
+        labels = _quoted(report.alternatives)
+        for label, alt in zip(labels, report.alternatives.values()):
+            lines.append(f"{round_label},{label},{fnum(alt.gross_estimation)}\n")
+    return "".join(lines).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

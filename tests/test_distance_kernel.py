@@ -34,6 +34,7 @@ from panelrank import (
     mass_triples,
     pairwise_distances,
 )
+from panelrank import core
 from panelrank.core import (
     _PASS_PAIRS,
     SUM_TOL,
@@ -169,21 +170,97 @@ def test_kernel_equals_the_whole_stack_form_bit_for_bit():
     assert np.array_equal(js_distances(a, b), js_distances_whole(a, b))
 
 
+def _bits(a) -> np.ndarray:
+    """The float64 bit patterns of a, so that -0.0 and +0.0 differ."""
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+# (mu, nu) pairs the kernel must take exactly as the whole-stack form does;
+# a RuntimeWarning fails the test
+FIXED_PAIRS = {
+    # nu offset (x - y) / (x + y) rounds to exactly -1 at a defined far term,
+    # so its log1p argument must be zeroed before the log1p
+    "far-offset-of-minus-one": ((0.0, 8.260963851082647e-196), (0.0, 1.0)),
+    # the sums x + y of mu and of nu are 0
+    "no-mass-against-no-mass": ((0.0, 0.0), (0.0, 0.0)),
+    # hesitancies -5e-10 and 0: x + y < 0 with x < 0 and with x = 0
+    "negative-sum": ((0.6, 0.4 + 0.5 * SUM_TOL), (1.0, 0.0)),
+    # hesitancies -5e-10 and 2e-9: x + y > 0 with x < 0
+    "negative-against-positive-hesitancy": ((0.6, 0.4 + 0.5 * SUM_TOL), (0.3, 0.7 - 2 * SUM_TOL)),
+    # hesitancies -9e-10 and 1e-10: x + y < 0 with x > 0, a term that must
+    # be 0; the other terms are as small, so a wrong one would show
+    "positive-hesitancy-with-negative-sum": (
+        (0.5, 0.5 + 0.9 * SUM_TOL),
+        (0.5, 0.5 - 0.1 * SUM_TOL),
+    ),
+    # hesitancies -5e-10 and -9e-10: x + y < 0 with both x < 0
+    "both-negative-hesitancy": ((0.6, 0.4 + 0.5 * SUM_TOL), (1.0, 0.9 * SUM_TOL)),
+}
+
+
+@pytest.mark.parametrize("pair", FIXED_PAIRS.values(), ids=FIXED_PAIRS.keys())
+def test_kernel_takes_fixed_edge_pairs_as_the_whole_stack_form(pair):
+    (mu_a, nu_a), (mu_b, nu_b) = pair
+    # both orders, so each judgment takes each half of the term rows
+    a = mass_triples([mu_a, mu_b], [nu_a, nu_b])
+    b = mass_triples([mu_b, mu_a], [nu_b, nu_a])
+    got = js_distances(a, b)
+    assert np.array_equal(_bits(got), _bits(js_distances_whole(a, b)))
+    assert np.array_equal(_bits(got[0]), _bits(got[1]))
+    # the raw judgments, whose hesitancy may be below 0, against the oracle
+    ifns = [IFN(mu_a, nu_a), IFN(mu_b, nu_b)]
+    _assert_accurate(got, [tuple(ifns), tuple(ifns[::-1])])
+
+
+def _count_passes(monkeypatch, triples) -> tuple[int, int]:
+    """The passes within_group_distances and cross_expert_distances make on triples."""
+    calls = []
+    kernel = core._pair_pass
+    monkeypatch.setattr(core, "_pair_pass", lambda *args: calls.append(1) or kernel(*args))
+    scratch = PairScratch()
+    within_group_distances(triples, scratch)
+    within = len(calls)
+    cross_expert_distances(triples, scratch, lambda a, cross: None)
+    return within, len(calls) - within
+
+
+@pytest.mark.parametrize(
+    "shape, passes",
+    [
+        # 2700 within pairs, 136 groups to a pass; 6 x 2610 cross pairs in two
+        # blocks of three alternatives, four passes each (12 passes of one
+        # alternative each would leave six tails of 562 pairs)
+        ((6, 30, 6), (2, 8)),
+        # 780 within pairs a group, two to a pass; 3 x 240 cross pairs in one
+        ((3, 4, 40), (6, 1)),
+        # 4160 cross pairs an alternative, over three passes each
+        ((5, 65, 2), (1, 15)),
+    ],
+)
+def test_pass_counts(monkeypatch, shape, passes):
+    triples = _edge_triples(np.random.default_rng(1), shape)
+    assert _count_passes(monkeypatch, triples) == passes
+
+
 # [A, E, M] rounds whose pair counts land on the pass size C: A E M(M-1)/2
 # within-group pairs, and M E(E-1)/2 cross-expert pairs per alternative,
-# C // that many alternatives to a pass
+# C // that many alternatives to a pass; where one group or alternative
+# holds more than C pairs, blocks of them go a few at a time over passes
+# that run nearly full (core._blocks_per_step)
 C = _PASS_PAIRS
 ROUND_SHAPES = (
     (89, 23, 2),  # C - 1 within pairs in one pass
     (C // 2, 2, 2),  # C within pairs in one pass
     (683, 3, 2),  # C + 1 within pairs; cross blocks of 341 alternatives, the last of one
-    (2, 2, 65),  # groups of 2080 within pairs, more than a pass holds
+    (2, 2, 65),  # groups of 2080 within pairs, two to a step of three passes
     (23, 2, 89),  # C - 1 cross pairs in one pass of 23 alternatives
     (32, 2, 64),  # C cross pairs in one pass of 32 alternatives
     (C + 1, 2, 1),  # C + 1 cross pairs, a pass and one alternative
     (1, 65, 2),  # one alternative's 4160 cross pairs, in three passes
     (5, 3, 4),
-    (4, 30, 6),
+    (4, 30, 6),  # 2610 cross pairs an alternative, two to a step of three passes
+    (5, 65, 2),  # 4160 cross pairs an alternative, one to a step of three passes
+    (6, 30, 6),  # 2610 cross pairs an alternative, three to a step of four passes
 )
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import re
@@ -632,6 +634,23 @@ def test_plot_data_lists_every_alternative(report1):
         rnd, label, value = line.split(",")
         assert rnd == "r1"
         assert float(value) == report1.alternatives[label].gross_estimation
+
+
+def test_plot_data_reads_back_labels_with_carriage_returns():
+    # csv.reader ends a line at a bare "\r", so such labels must be quoted
+    round_input = RoundInput(
+        "r\r1",
+        ("x1", "x2"),
+        ("E1", "E2"),
+        ("A", "B\r"),
+        [[[(0.5, 0.2), (0.3, 0.3)], [(0.4, 0.4), (0.2, 0.6)]]] * 2,
+    )
+    report = evaluate_round(round_input)
+    text = plot_data([report]).decode("utf-8")
+    assert list(csv.reader(io.StringIO(text, newline=""))) == [
+        ["round", "alternative", "gross_estimation"],
+        *(["r\r1", a, fnum(report.alternatives[a].gross_estimation)] for a in ("A", "B\r")),
+    ]
 
 
 def test_human_report_shows_ranking_and_values(report1):

@@ -244,10 +244,13 @@ def test_working_memory_does_not_grow_with_the_alternatives():
 
 
 def test_working_memory_is_bounded_by_the_distance_passes():
-    # 199,000 within-group pairs, about a hundred passes' worth; holding
-    # their terms at once would take tens of megabytes
-    round_input = random_round(np.random.default_rng(1), 1, 10, 200)
-    assert _peak_beyond_report(round_input) < 4 * 2**20
+    # 1 x 10 x 200 has 199,000 within-group pairs, about a hundred passes'
+    # worth; holding their terms at once would take tens of megabytes.
+    # 60 x 30 x 6 has 156,600 cross-expert pairs, in twenty blocks of three
+    # alternatives.
+    for shape in ((1, 10, 200), (60, 30, 6)):
+        round_input = random_round(np.random.default_rng(1), *shape)
+        assert _peak_beyond_report(round_input) < 4 * 2**20, shape
 
 
 @pytest.mark.parametrize(
