@@ -41,7 +41,7 @@ def floor_section(round_input) -> None:
         config = replace(base, credibility_floor=floor)
         report = pr.evaluate_round(round_input, config)
         spread = max(
-            float(a.credibility.values.max() - a.credibility.values.min())
+            float(a.credibility.max() - a.credibility.min())
             for a in report.alternatives.values()
         )
         print(f"    floor={floor:<6} credibility spread {spread:.4f}  "

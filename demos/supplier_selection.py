@@ -43,8 +43,8 @@ def main() -> None:
     alt = report.alternatives[best]
     print(f"Inside round {report.round_label}, alternative {best}:")
     print(f"    experts             {'  '.join(report.expert_labels)}")
-    print(f"    credibility         {_vector(alt.credibility.values)}")
-    print(f"    attitude character  {_vector(alt.attitude.values)}")
+    print(f"    credibility         {_vector(alt.credibility)}")
+    print(f"    attitude character  {_vector(alt.attitude)}")
     print(f"    sharpness           {_vector(alt.sharpness)}")
     for label, owa, dslf in zip(report.expert_labels, alt.owa, alt.dslf):
         print(f"    {label}: ordered weights {_vector(owa)}")

@@ -49,7 +49,6 @@ import math
 import threading
 from collections.abc import Mapping, Sequence
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
 from types import SimpleNamespace
 from typing import NamedTuple, TextIO
 
@@ -99,11 +98,11 @@ FIELDS = (
     (Field("weights[].degenerate", None, "e", "degenerate", dtype=bool),),
     (Field("group_distances", "group_distance", "ee", "group_distances"),),
     (Field("divergence", "divergence", "e", "divergence"),),
-    (Field("credibility", "credibility", "e", "credibility.values"),),
-    (Field("info_volume.raw", "ivf", "e", "info_volume.raw"),),
-    (Field("info_volume.modified", None, "e", "info_volume.modified"),),
-    (Field("info_volume.normalized", "ivf_norm", "e", "info_volume.normalized"),),
-    (Field("attitude", "alpha", "e", "attitude.values"),),
+    (Field("credibility", "credibility", "e", "credibility"),),
+    (Field("info_volume.raw", "ivf", "e", "info_volume"),),
+    (Field("info_volume.modified", None, "e", "info_modified"),),
+    (Field("info_volume.normalized", "ivf_norm", "e", "info_share"),),
+    (Field("attitude", "alpha", "e", "attitude"),),
     (Field("dslf", "dslf", "e", "dslf"),),
     (Field("sharpness", "sharpness", "e", "sharpness"),),
     (Field("owa", "owa_weight", "ek", "owa"),),
@@ -410,7 +409,7 @@ def _alternative_doc(alt: AlternativeReport, lists: bool) -> dict:
     """An alternative's JSON object, its arrays as lists or as they are."""
     doc = {"degeneracies": list(alt.degeneracies)}
     for f in _JSON_FIELDS:
-        value = attrgetter(f.attr)(alt)
+        value = getattr(alt, f.attr)
         if f.key == "similarities" and np.isinf(value).any():
             # a judgment identical to all its peers has infinite similarity,
             # which standard JSON cannot hold as a number
@@ -518,7 +517,7 @@ def _write_round_trace(report: RoundReport, write) -> None:
         for group in _TRACE_GROUPS:
             axes = group[0].axes.rstrip("23")
             pick = select.get(axes, np.asarray)
-            arrays = {f.attr: pick(attrgetter(f.attr)(alt)) for f in group}
+            arrays = {f.attr: pick(getattr(alt, f.attr)) for f in group}
             if len(group) == 1 and axes == group[0].axes:
                 lead = f"{prefix}{group[0].stage},"
                 cells = map(fnum, np.ravel(arrays[group[0].attr]).tolist())

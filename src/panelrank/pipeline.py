@@ -36,9 +36,7 @@ from .core import (
     z_arrays,
 )
 from .credibility import (
-    AttitudeVector,
-    CredibilityVector,
-    InfoVolumeVector,
+    NORM_TOL,
     attitude_shares,
     credibility_shares,
     divergence_from_group_distances,
@@ -160,6 +158,10 @@ class AlternativeReport:
     - similarities, points, weights [E, M]; degenerate [E] marks the groups
       whose weights fell back to uniform
     - group_distances [E, E], divergence [E]
+    - credibility [E]: credibility shares
+    - info_volume [E]: information volumes; info_share [E]: their softmax
+      shares; info_modified [E], derived: exp(info_volume)
+    - attitude [E]: attitude characters
     - sharpness [E]; owa [E, M]
     - support [E, M]: unsorted dp values; series [E, M]: sorted descending
     - dslf [E]
@@ -175,9 +177,10 @@ class AlternativeReport:
     degenerate: np.ndarray
     group_distances: np.ndarray
     divergence: np.ndarray
-    credibility: CredibilityVector
-    info_volume: InfoVolumeVector
-    attitude: AttitudeVector
+    credibility: np.ndarray
+    info_volume: np.ndarray
+    info_share: np.ndarray
+    attitude: np.ndarray
     sharpness: np.ndarray
     owa: np.ndarray
     support: np.ndarray
@@ -185,6 +188,11 @@ class AlternativeReport:
     dslf: np.ndarray
     gross_estimation: float
     degeneracies: tuple[str, ...] = ()
+
+    @property
+    def info_modified(self) -> np.ndarray:
+        """The modified information volumes exp(info_volume), [E]."""
+        return _readonly(np.exp(self.info_volume))
 
     @property
     def partials(self) -> np.ndarray:
@@ -234,6 +242,25 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_shares(name: str, shares, valid, bounds: str, labels, experts) -> None:
+    """Check each alternative's [E] row of shares once per round, as the
+    per-expert types check one row: no laxer than they are.
+
+    valid marks the entries within bounds. The first alternative whose row
+    holds an entry out of bounds, or does not sum to 1 within NORM_TOL,
+    raises a DomainError, located at <alternative>/<expert> for the entry
+    and else at <alternative>.
+    """
+    sums = shares.sum(axis=-1)
+    rows_pass = valid.all(axis=-1) & (np.abs(sums - 1.0) <= NORM_TOL)
+    if rows_pass.all():
+        return
+    a = int(rows_pass.argmin())
+    for e in np.flatnonzero(~valid[a])[:1].tolist():
+        raise DomainError(f"{name} {bounds}, got {shares[a, e]}", f"{labels[a]}/{experts[e]}")
+    raise DomainError(f"{name} must sum to 1, got {sums[a]}", location=labels[a])
+
+
 def _degeneracies(labels, experts, identical, uniform) -> list[tuple[str, ...]]:
     """Each alternative's notes on the groups whose weights fell back to uniform."""
     notes: list[list[str]] = [[] for _ in labels]
@@ -271,17 +298,21 @@ def _evaluate_configs(
 
     # information volume reads only the original judgments; checked first so
     # that an overflowing round fails before the distance work
-    raw_iv = information_volumes(mu, nu)
+    raw_iv = _readonly(information_volumes(mu, nu))
     with np.errstate(over="ignore"):
-        overflowed = np.argwhere(np.isinf(np.exp(raw_iv)))
+        modified = np.exp(raw_iv)
+    overflowed = np.argwhere(np.isinf(modified))
     if overflowed.size:
         a, e = overflowed[0]
         raise DomainError(
             f"information volume of {raw_iv[a, e]} bits overflows its exponential",
             location=f"{labels[a]}/{experts[e]}",
         )
-    iv_shares = info_shares(raw_iv)
-    info = [InfoVolumeVector(raw, shares) for raw, shares in zip(raw_iv, iv_shares)]
+    iv_shares = _readonly(info_shares(raw_iv))
+    # with none overflowed, exp(raw) > 0 holds for finite volumes only
+    valid = (modified > 0.0) & (iv_shares > 0.0)
+    bounds = "must be positive, from finite volumes"
+    _check_shares("information shares", iv_shares, valid, bounds, labels, experts)
 
     z, combined = map(_readonly, z_arrays(mu, nu))
     triples = mass_triples(combined[..., 0], combined[..., 1])
@@ -317,18 +348,22 @@ def _evaluate_configs(
         if key not in attitudes:
             cr = credibility_shares(div, config.credibility_floor)
             alpha = attitude_shares(iv_shares, cr)
-            outside = np.argwhere(~((alpha > 0.0) & (alpha < 1.0)))
+            inside = (alpha > 0.0) & (alpha < 1.0)
+            outside = np.argwhere(~inside)
             if outside.size:
                 a, e = outside[0]
                 raise DomainError(
                     f"attitude characters must lie strictly in (0, 1), got {alpha[a, e]}",
                     location=f"{labels[a]}/{experts[e]}",
                 )
-            # the types check that each alternative's shares sum to 1
-            checked = [CredibilityVector(row) for row in cr], [AttitudeVector(row) for row in alpha]
+            valid = np.isfinite(cr) & (cr >= 0.0) & (cr <= 1.0)
+            _check_shares("credibility", cr, valid, "must lie in [0, 1]", labels, experts)
+            bounds = "must lie strictly in (0, 1)"
+            _check_shares("attitude characters", alpha, inside, bounds, labels, experts)
             sharp = _readonly((1.0 - alpha) / alpha)  # as sharpness() gives it
-            attitudes[key] = (*checked, sharp, _readonly(owa_matrix(m, sharp)))
-        credibilities, alphas, sharp, owa = attitudes[key]
+            owa = _readonly(owa_matrix(m, sharp))
+            attitudes[key] = (_readonly(cr), _readonly(alpha), sharp, owa)
+        cr, alpha, sharp, owa = attitudes[key]
 
         key = (config.split_strategy, config.dp_source)
         if key not in supports:
@@ -353,9 +388,10 @@ def _evaluate_configs(
                 degenerate=degenerate[a],
                 group_distances=gd[a],
                 divergence=div[a],
-                credibility=credibilities[a],
-                info_volume=info[a],
-                attitude=alphas[a],
+                credibility=cr[a],
+                info_volume=raw_iv[a],
+                info_share=iv_shares[a],
+                attitude=alpha[a],
                 sharpness=sharp[a],
                 owa=owa[a],
                 support=support[a],

@@ -1,9 +1,9 @@
 """Reading a report back from its dict form, the checked boundary for reports.
 
 report_from_dict is the inverse of io.report_to_dict. Its keys and shapes
-follow io.FIELDS. Its values are checked as the per-judgment and per-group
-types check them, in one pass over each array; the per-group types are built
-only to name a fault that pass found.
+follow io.FIELDS. Its values are checked as the per-judgment, per-group and
+per-expert types check them, in one pass over each array; the types are
+built only to name a fault that pass found.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from collections.abc import Mapping
 import numpy as np
 
 from .core import first_ifn_fault
-from .credibility import AttitudeVector, CredibilityVector, InfoVolumeVector
+from .credibility import NORM_TOL, AttitudeVector, CredibilityVector, InfoVolumeVector
 from .errors import DomainError, SchemaError
 from .groups import CriterionWeights, DistanceMatrix
 from .io import FIELDS, _require, config_from_dict
@@ -21,7 +21,7 @@ from .pipeline import AlternativeReport, RoundReport
 from .slf import LikelihoodSeries, OwaWeights, Sharpness
 
 # written by report_to_dict, but recomputed rather than read
-_DERIVED = ("info_volume.modified", "partials")
+_DERIVED = ("info_modified", "partials")
 _READ = tuple(f for group in FIELDS for f in group if f.key and f.attr not in _DERIVED)
 
 
@@ -74,6 +74,21 @@ def _groups_pass(d, w, o, p, s) -> bool:
         )
 
 
+def _shares_pass(cr, raw, normalized, alpha) -> bool:
+    """Whether an alternative's [E] shares pass the checks of CredibilityVector,
+    InfoVolumeVector and AttitudeVector; no laxer than they are."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        modified = np.exp(raw)
+        sums = np.stack([cr, normalized, alpha]).sum(axis=1)
+        return bool(
+            cr.size >= 2
+            and (np.isfinite(cr) & (cr >= 0.0) & (cr <= 1.0)).all()
+            and (np.isfinite(modified) & (modified > 0.0) & (normalized > 0.0)).all()
+            and (np.isfinite(alpha) & (alpha > 0.0) & (alpha < 1.0)).all()
+            and (np.abs(sums - 1.0) <= NORM_TOL).all()
+        )
+
+
 def _alternative_from_dict(label: str, doc, experts, criteria, loc: str) -> AlternativeReport:
     sizes = {"e": len(experts), "m": len(criteria), "k": len(criteria)}
     values = {}
@@ -86,13 +101,20 @@ def _alternative_from_dict(label: str, doc, experts, criteria, loc: str) -> Alte
     if not _groups_pass(*groups):
         for d, w, o, p, s in zip(*groups):
             DistanceMatrix(d), CriterionWeights(w), OwaWeights(o), Sharpness(p), LikelihoodSeries(s)
+    shares = [values[k] for k in ("credibility", "info_volume", "info_share", "attitude")]
+    if not _shares_pass(*shares):
+        cr, raw, normalized, alpha = shares
+        for key, build, args in (
+            ("credibility", CredibilityVector, (cr,)),
+            ("info_volume", InfoVolumeVector, (raw, normalized)),
+            ("attitude", AttitudeVector, (alpha,)),
+        ):
+            try:
+                build(*args)
+            except DomainError as exc:
+                raise DomainError(exc.reason, location=f"{loc}.{key}") from None
     return AlternativeReport(
         label=label,
-        credibility=CredibilityVector(values.pop("credibility.values")),
-        info_volume=InfoVolumeVector(
-            raw=values.pop("info_volume.raw"), normalized=values.pop("info_volume.normalized")
-        ),
-        attitude=AttitudeVector(values.pop("attitude.values")),
         gross_estimation=float(values.pop("gross_estimation")),
         degeneracies=tuple(_require(doc, "degeneracies", list, f"{loc}.degeneracies")),
         **values,
@@ -105,7 +127,9 @@ def report_from_dict(doc: Mapping) -> RoundReport:
     A missing key, or an array whose shape does not fit the round's labels,
     raises a SchemaError that names the alternative and field. A judgment
     that IFN or ZJudgment rejects raises a DomainError located at its
-    alternative, expert and criterion. The derived info_volume.modified and
+    alternative, expert and criterion; credibility, information volume or
+    attitude shares that their types reject raise that type's DomainError,
+    located at the alternative and key. The derived info_volume.modified and
     series[].partials are recomputed, not read.
     """
     kinds = {"round_label": str, "criteria_labels": list, "expert_labels": list, "config": dict}

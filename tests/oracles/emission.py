@@ -67,10 +67,10 @@ def trace_rows(report) -> list[tuple[str, ...]]:
             add("group_distance", f"{experts[a]}-{experts[b]}", "", fnum(gd[a][b]))
         for stage, vector in (
             ("divergence", alt.divergence),
-            ("credibility", alt.credibility.values),
-            ("ivf", alt.info_volume.raw),
-            ("ivf_norm", alt.info_volume.normalized),
-            ("alpha", alt.attitude.values),
+            ("credibility", alt.credibility),
+            ("ivf", alt.info_volume),
+            ("ivf_norm", alt.info_share),
+            ("alpha", alt.attitude),
             ("dslf", alt.dslf),
             ("sharpness", alt.sharpness),
         ):
@@ -105,7 +105,6 @@ def _csv_line(row) -> str:
 
 
 def alternative_dict(r) -> dict:
-    info = r.info_volume
     return {
         "z": r.z.tolist(),
         "combined": r.combined.tolist(),
@@ -120,13 +119,13 @@ def alternative_dict(r) -> dict:
         ],
         "group_distances": r.group_distances.tolist(),
         "divergence": r.divergence.tolist(),
-        "credibility": r.credibility.values.tolist(),
+        "credibility": r.credibility.tolist(),
         "info_volume": {
-            "raw": info.raw.tolist(),
-            "modified": info.modified.tolist(),
-            "normalized": info.normalized.tolist(),
+            "raw": r.info_volume.tolist(),
+            "modified": r.info_modified.tolist(),
+            "normalized": r.info_share.tolist(),
         },
-        "attitude": r.attitude.values.tolist(),
+        "attitude": r.attitude.tolist(),
         "sharpness": r.sharpness.tolist(),
         "owa": r.owa.tolist(),
         "support": r.support.tolist(),

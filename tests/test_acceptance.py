@@ -198,16 +198,16 @@ def test_criterion_6_information_volume(report1, tables, capsys):
     worst_raw = 0.0
     worst_norm = 0.0
     for alt, rows in tables["info_volume"].items():
-        computed = report1.alternatives[alt].info_volume.raw
+        computed = report1.alternatives[alt].info_volume
         worst_raw = max(worst_raw, float(np.max(np.abs(computed - np.asarray(rows)))))
     for alt, rows in tables["info_volume_normalized"].items():
-        computed = report1.alternatives[alt].info_volume.normalized
+        computed = report1.alternatives[alt].info_share
         worst_norm = max(
             worst_norm, float(np.max(np.abs(computed - np.asarray(rows))))
         )
-    spot = report1.alternatives["Supplier_1"].info_volume
-    examples_ok = spot.raw[0] == pytest.approx(8.5376, abs=1e-2) and np.allclose(
-        spot.normalized, [0.2250, 0.3447, 0.4303], atol=1e-3
+    spot = report1.alternatives["Supplier_1"]
+    examples_ok = spot.info_volume[0] == pytest.approx(8.5376, abs=1e-2) and np.allclose(
+        spot.info_share, [0.2250, 0.3447, 0.4303], atol=1e-3
     )
     ok = worst_raw <= 1e-2 and worst_norm <= 1e-3 and examples_ok
     _check(
@@ -470,7 +470,7 @@ def _battery_pipeline(rng, fixture_rounds):
         ok = ok and evaluate_round(permuted).ranking == first.ranking
         ok = ok and evaluate_round(shuffled).ranking == first.ranking
         ok = ok and all(
-            abs(a.attitude.values.sum() - 1.0) <= 1e-9
+            abs(a.attitude.sum() - 1.0) <= 1e-9
             for a in first.alternatives.values()
         )
         cases += 1

@@ -369,7 +369,7 @@ def test_identical_experts_are_equally_credible():
         assert report.ties == ("A", "B")
         alt = report.alternatives["A"]
         assert np.all(alt.group_distances == 0.0) and np.all(alt.divergence == 0.0)
-        assert np.array_equal(alt.credibility.values, np.full(3, 1.0 / 3.0))
+        assert np.array_equal(alt.credibility, np.full(3, 1.0 / 3.0))
 
 
 def test_negative_hesitancy_inside_the_sum_tolerance():

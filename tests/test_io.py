@@ -15,9 +15,12 @@ from hypothesis import strategies as st
 
 from panelrank import (
     IFN,
+    AttitudeVector,
+    CredibilityVector,
     DomainError,
     EvaluationConfig,
     GroupAssessment,
+    InfoVolumeVector,
     Panel,
     PanelRankError,
     ParseError,
@@ -395,9 +398,8 @@ def test_report_from_dict_recomputes_derived_fields(report1):
     doc = report_to_dict(report1)
     rebuilt = report_from_dict(doc)
     for alt in rebuilt.alternatives.values():
-        iv = alt.info_volume
-        assert np.array_equal(iv.modified, np.exp(iv.raw))
-        assert not iv.modified.flags.writeable
+        assert np.array_equal(alt.info_modified, np.exp(alt.info_volume))
+        assert not alt.info_modified.flags.writeable
         assert np.array_equal(alt.partials, np.cumprod(alt.series, axis=1))
         assert not alt.partials.flags.writeable
     # the derived keys are written but never read back
@@ -494,6 +496,46 @@ def test_report_from_dict_checks_each_group_as_its_type_does(report1):
     alt["series"][1]["dp"].reverse()
     with pytest.raises(DomainError, match="sorted descending"):
         report_from_dict(doc)
+
+
+_SHARE_TYPES = {
+    "credibility": lambda alt: CredibilityVector(alt["credibility"]),
+    "info_volume": lambda alt: InfoVolumeVector(
+        alt["info_volume"]["raw"], alt["info_volume"]["normalized"]
+    ),
+    "attitude": lambda alt: AttitudeVector(alt["attitude"]),
+}
+
+
+def _credibility_sums_to_0_9(alt):
+    alt["credibility"] = [v * 0.9 for v in alt["credibility"]]
+
+
+def _attitude_holds_1(alt):
+    alt["attitude"][0] = 1.0
+
+
+def _info_share_holds_0(alt):
+    alt["info_volume"]["normalized"][0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (_credibility_sums_to_0_9, "credibility"),
+        (_attitude_holds_1, "attitude"),
+        (_info_share_holds_0, "info_volume"),
+    ],
+)
+def test_report_from_dict_locates_shares_their_types_reject(report1, edit, key):
+    doc, alt = _alternative_doc(report1)
+    edit(alt)
+    with pytest.raises(DomainError) as expected:
+        _SHARE_TYPES[key](alt)
+    with pytest.raises(DomainError) as caught:
+        report_from_dict(doc)
+    assert caught.value.reason == expected.value.reason
+    assert caught.value.location == f"alternatives.Supplier_2.{key}"
 
 
 def test_report_from_dict_restores_ranking(report1):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import random
@@ -12,9 +13,12 @@ import pytest
 
 from panelrank import (
     IFN,
+    AttitudeVector,
+    CredibilityVector,
     DomainError,
     DpSource,
     EvaluationConfig,
+    InfoVolumeVector,
     LengthMismatchError,
     RoundFailure,
     RoundInput,
@@ -26,7 +30,10 @@ from panelrank import (
     evaluate_all,
     evaluate_round,
     reference_config,
+    write_json,
+    write_trace,
 )
+from panelrank import pipeline
 from strategies import random_round
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -173,8 +180,8 @@ def test_report_shapes(report1, round1):
         assert alt.group_distances.shape == (e, e)
         assert np.all(np.diag(alt.group_distances) == 0.0)
         assert len(alt.divergence) == e
-        assert alt.credibility.values.sum() == pytest.approx(1.0, abs=1e-9)
-        assert alt.attitude.values.sum() == pytest.approx(1.0, abs=1e-9)
+        assert alt.credibility.sum() == pytest.approx(1.0, abs=1e-9)
+        assert alt.attitude.sum() == pytest.approx(1.0, abs=1e-9)
         assert len(alt.dslf) == e
         assert np.isfinite(alt.gross_estimation)
 
@@ -201,8 +208,8 @@ def test_expert_permutation_equivariance(round1, report1):
         assert other.gross_estimation == pytest.approx(
             alt.gross_estimation, rel=1e-9
         )
-        assert other.attitude.values == pytest.approx(
-            alt.attitude.values[::-1], rel=1e-9
+        assert other.attitude == pytest.approx(
+            alt.attitude[::-1], rel=1e-9
         )
 
 
@@ -286,14 +293,107 @@ def test_evaluate_all_isolates_failing_rounds(rounds):
     assert results[1].error_type == "DomainError"
 
 
-@pytest.mark.parametrize("seed, alternatives, where", [(3, 3, "A2/E3"), (1, 1, "A0/E0")])
-def test_a_saturated_attitude_fails_with_its_location(seed, alternatives, where):
-    # at 300 criteria one expert's information-volume share rounds to 1.0
-    # (the smallest share is about 1e-193), and so does its attitude
-    round_input = random_round(np.random.default_rng(seed), alternatives, 4, 300)
+def _lopsided_round(criteria):
+    # E1 gives (0, 0) on every criterion, E2 (1, 0): E1 holds all the
+    # information volume, log2(3) bits a criterion against none
+    labels = tuple(f"x{i}" for i in range(criteria))
+    return _round({"A": [[(0.0, 0.0)] * criteria, [(1.0, 0.0)] * criteria]}, criteria=labels)
+
+
+@pytest.mark.parametrize(
+    "make, where",
+    [
+        (lambda: random_round(np.random.default_rng(3), 3, 4, 300), "A2/E3"),
+        (lambda: random_round(np.random.default_rng(1), 1, 4, 300), "A0/E0"),
+        (lambda: _lopsided_round(24), "A/E1"),
+    ],
+    # the random rounds by rng seed, alternatives and location
+    ids=["3-3-A2/E3", "1-1-A0/E0", "1x2x24-A/E1"],
+)
+def test_a_saturated_attitude_fails_with_its_location(make, where):
+    # one expert's information-volume share rounds to 1.0, and so does its
+    # attitude: at 300 criteria the smallest share is about 1e-193, and two
+    # lopsided experts get there from 24 criteria
     with pytest.raises(DomainError, match="strictly in") as caught:
-        evaluate_round(round_input)
+        evaluate_round(make())
     assert caught.value.location == where
+
+
+def test_the_lopsided_round_evaluates_one_criterion_short_of_saturation():
+    alpha = evaluate_round(_lopsided_round(23)).alternatives["A"].attitude
+    assert 0.0 < alpha[1] < 1e-15 and alpha[0] < 1.0
+
+
+# ---------------------------------------------------------------------------
+# the per-expert shares are checked once per round
+
+
+def _faulty(monkeypatch, name, fault):
+    """Patch the pipeline's share function name so that fault edits the second
+    alternative's row of every result."""
+    real = getattr(pipeline, name)
+
+    def patched(*args):
+        out = real(*args).copy()
+        fault(out[1])
+        return out
+
+    monkeypatch.setattr(pipeline, name, patched)
+
+
+def _scale(row):
+    row *= 0.9
+
+
+@pytest.mark.parametrize(
+    "name, what",
+    [("credibility_shares", "credibility"), ("info_shares", "information shares")],
+)
+def test_a_share_row_off_its_sum_fails_at_its_alternative(monkeypatch, round1, name, what):
+    _faulty(monkeypatch, name, _scale)
+    with pytest.raises(DomainError, match=f"^{what} must sum to 1, got ") as caught:
+        evaluate_round(round1)
+    assert float(caught.value.reason.rpartition(" ")[2]) == pytest.approx(0.9)
+    assert caught.value.location == round1.alternatives[1]
+
+
+def _nan_at_2(row):
+    row[2] = np.nan
+
+
+def _above_one_at_2(row):
+    row[2] = 1.5
+
+
+@pytest.mark.parametrize(
+    "name, fault, message, expert",
+    [
+        ("info_shares", _nan_at_2, "information shares must be positive", 2),
+        ("credibility_shares", _above_one_at_2, r"credibility must lie in \[0, 1\], got 1.5", 2),
+        # the attitude follows the credibility, and its check comes first
+        ("credibility_shares", _nan_at_2, "attitude characters must lie strictly in", 0),
+    ],
+)
+def test_a_share_out_of_bounds_fails_at_its_expert(
+    monkeypatch, round1, name, fault, message, expert
+):
+    _faulty(monkeypatch, name, fault)
+    with pytest.raises(DomainError, match=message) as caught:
+        evaluate_round(round1)
+    assert caught.value.location == f"{round1.alternatives[1]}/{round1.expert_labels[expert]}"
+
+
+def test_no_per_expert_share_object_is_built(monkeypatch, rounds):
+    def refuse(self):
+        raise AssertionError(f"built a {type(self).__name__}")
+
+    for cls in (CredibilityVector, InfoVolumeVector, AttitudeVector):
+        monkeypatch.setattr(cls, "__post_init__", refuse)
+    reports = [evaluate_round(r) for r in rounds]
+    for round_input in rounds:
+        compare_configs(round_input, config_grid())
+    write_json(reports, io.StringIO())
+    write_trace(reports, io.StringIO())
 
 
 # ---------------------------------------------------------------------------

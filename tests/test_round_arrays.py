@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 from panelrank import (
     IFN,
     AlternativeReport,
+    CredibilityVector,
     CriterionWeights,
     DegenerateGroupError,
     DistanceMatrix,
@@ -77,11 +78,9 @@ CONFIGS = config_grid() + tuple(
 
 
 def _same(a, b) -> bool:
-    """Field values equal exactly: arrays by array_equal, typed vectors by their arrays."""
+    """Field values equal exactly: arrays by shape, dtype and array_equal."""
     if isinstance(a, np.ndarray):
         return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b)
-    if dataclasses.is_dataclass(a):
-        return all(_same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
     return a == b
 
 
@@ -159,16 +158,16 @@ def _check_alternative(panel: Panel, alt, config) -> None:
         # numpy's log2 gave every judgment libm's volume; else within the bound
         volumes = eifn_values(*np.array([[i.mu, i.nu] for i in group.items]).T)
         if volumes.tolist() == [eifn(i) for i in group.items]:
-            assert alt.info_volume.raw[k] == group_information_volume(group)
+            assert alt.info_volume[k] == group_information_volume(group)
         np.testing.assert_allclose(
-            alt.info_volume.raw[k], group_information_volume(group), rtol=4 * m * EPS, atol=0.0
+            alt.info_volume[k], group_information_volume(group), rtol=4 * m * EPS, atol=0.0
         )
         source = combined[k] if config.dp_source is DpSource.COMBINED else group
         assert np.array_equal(alt.support[k], support_values(source, config.split_strategy))
         series = dp_values(source, config.split_strategy)
         assert np.array_equal(alt.series[k], series.dp)
         assert np.array_equal(alt.partials[k], series.partials)
-        p = sharpness(alt.attitude.values[k])
+        p = sharpness(alt.attitude[k])
         assert alt.sharpness[k] == p.p
         assert np.array_equal(alt.owa[k], owa_weights(m, p).w)
         assert alt.dslf[k] == dslf(series, OwaWeights(alt.owa[k]))
@@ -186,13 +185,12 @@ def _check_alternative(panel: Panel, alt, config) -> None:
         alt.divergence, gd.sum(axis=1), rtol=(m + e) * EPS, atol=e * ORACLE_TOL
     )
     assert np.array_equal(
-        alt.credibility.values, credibility(alt.divergence, config.credibility_floor).values
+        alt.credibility, credibility(alt.divergence, config.credibility_floor).values
     )
+    iv = modified_info_volume(alt.info_volume)
+    assert np.array_equal(alt.info_share, iv.normalized)
     assert np.array_equal(
-        alt.info_volume.normalized, modified_info_volume(alt.info_volume.raw).normalized
-    )
-    assert np.array_equal(
-        alt.attitude.values, attitude_characters(alt.info_volume, alt.credibility).values
+        alt.attitude, attitude_characters(iv, CredibilityVector(alt.credibility)).values
     )
     assert alt.gross_estimation == gross_estimation(alt.dslf)
 
@@ -212,14 +210,10 @@ def _report_bytes(report) -> int:
     bases = {}
     for alt in report.alternatives.values():
         for field in dataclasses.fields(alt):
-            value = getattr(alt, field.name)
-            arrays = [value]
-            if dataclasses.is_dataclass(value):
-                arrays = [getattr(value, f.name) for f in dataclasses.fields(value)]
-            for a in arrays:
-                if isinstance(a, np.ndarray):
-                    base = a if a.base is None else a.base
-                    bases[id(base)] = base.nbytes
+            a = getattr(alt, field.name)
+            if isinstance(a, np.ndarray):
+                base = a if a.base is None else a.base
+                bases[id(base)] = base.nbytes
     return sum(bases.values())
 
 
