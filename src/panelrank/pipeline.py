@@ -12,16 +12,18 @@ table.
 
 Rounds are independent: evaluate_all simply maps over them, isolating
 per-round failures. compare_configs evaluates one round under several
-configurations to expose how the discretionary choices move the ranking;
-each stage runs once per distinct value of the config fields it reads, and
-evaluate_round is the one-configuration case of the same path.
+configurations to expose how the discretionary choices move the ranking.
+Both go through _round_arrays, which runs each stage once per distinct
+value of the config fields it reads and returns every config's arrays.
+evaluate_round builds its report from them; compare_configs reads only
+each config's gross estimations and builds no report.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import attrgetter
 
 import numpy as np
@@ -200,6 +202,10 @@ class AlternativeReport:
         return _readonly(np.cumprod(self.series, axis=-1))
 
 
+# the [E, ...] array fields, in order between label and gross_estimation
+_ROW_FIELDS = tuple(f.name for f in fields(AlternativeReport))[1:-2]
+
+
 @dataclass(frozen=True, eq=False)
 class RoundReport:
     """The full outcome of one round under one configuration."""
@@ -270,14 +276,17 @@ def _degeneracies(labels, experts, identical, uniform) -> list[tuple[str, ...]]:
     return [tuple(n) for n in notes]
 
 
-def _evaluate_configs(
+def _round_arrays(
     round_input: RoundInput, configs: Sequence[EvaluationConfig]
-) -> tuple[RoundReport, ...]:
-    """One round's report under each config, in order, from one pass over the round.
+) -> list[dict[str, np.ndarray]]:
+    """One round's arrays under each config, in order, from one pass over the round.
 
-    Every stage after the distance kernel runs once over all alternatives
-    and experts, on arrays with leading axes [A, E], and once per distinct
-    value of the config fields it reads; the reports share its results:
+    Each config's dict maps the AlternativeReport fields to their [A, ...]
+    arrays, and adds identical [A, E], the groups whose uniform weights
+    came from identical judgments, and gross_estimation [A]. Every stage
+    after the distance kernel runs once over all alternatives and experts,
+    and once per distinct value of the config fields it reads; the configs'
+    dicts share its results:
 
     - information volume, reliability, distances: no field;
     - similarities, points, weights, group distances, divergence:
@@ -287,9 +296,14 @@ def _evaluate_configs(
     - supports and their sorted series: split_strategy and dp_source;
     - soft likelihoods and gross estimation: once per config.
 
-    The distances come from two round-level passes in fixed-size chunks,
-    within-group pairs first and cross-expert pairs after the weights, so
-    the kernel's working memory does not grow with the round.
+    The checks raise in a fixed order: the information-volume overflow and
+    shares before any distance work, then the attitude, credibility and
+    attitude shares of each (tie_epsilon, credibility_floor) in config
+    order. The distances come from two round-level passes in fixed-size
+    chunks, within-group pairs first and cross-expert pairs after the
+    weights, so the kernel's working memory does not grow with the round.
+    No array is made read-only here: _evaluate_configs does that for the
+    arrays that reach a report.
     """
     labels = round_input.alternatives
     experts = round_input.expert_labels
@@ -298,28 +312,30 @@ def _evaluate_configs(
 
     # information volume reads only the original judgments; checked first so
     # that an overflowing round fails before the distance work
-    raw_iv = _readonly(information_volumes(mu, nu))
+    raw_iv = information_volumes(mu, nu)
     with np.errstate(over="ignore"):
         modified = np.exp(raw_iv)
-    overflowed = np.argwhere(np.isinf(modified))
-    if overflowed.size:
-        a, e = overflowed[0]
+    overflowed = np.isinf(modified)
+    if overflowed.any():
+        a, e = np.argwhere(overflowed)[0]
         raise DomainError(
             f"information volume of {raw_iv[a, e]} bits overflows its exponential",
             location=f"{labels[a]}/{experts[e]}",
         )
-    iv_shares = _readonly(info_shares(raw_iv))
+    iv_shares = info_shares(raw_iv)
     # with none overflowed, exp(raw) > 0 holds for finite volumes only
     valid = (modified > 0.0) & (iv_shares > 0.0)
     bounds = "must be positive, from finite volumes"
     _check_shares("information shares", iv_shares, valid, bounds, labels, experts)
 
-    z, combined = map(_readonly, z_arrays(mu, nu))
+    z, combined = z_arrays(mu, nu)
     triples = mass_triples(combined[..., 0], combined[..., 1])
     # room for the larger phase: A E M(M - 1) / 2 within-group pairs and
     # A M E(E - 1) / 2 cross-expert pairs
     scratch = PairScratch(n_alt * n_exp * m * (max(m, n_exp) - 1) // 2)
-    within = _readonly(within_group_distances(triples, scratch))
+    within = within_group_distances(triples, scratch)
+    shared = dict(z=z, combined=combined, distances=within)
+    shared.update(info_volume=raw_iv, info_share=iv_shares)
 
     tie_epsilons = dict.fromkeys(c.tie_epsilon for c in configs)
     chains = {eps: weigh_groups(within, eps) for eps in tie_epsilons}
@@ -332,26 +348,31 @@ def _evaluate_configs(
             gds[eps][a] = group_distance_matrix(cross, w[a])
 
     cross_expert_distances(triples, scratch, reduce)
-    weighed = {}
-    for eps, (sm, po, w, identical, uniform) in chains.items():
-        gd = gds[eps]
-        arrays = (sm, po, w, uniform, gd, divergence_from_group_distances(gd))
-        weighed[eps] = (*map(_readonly, arrays), _degeneracies(labels, experts, identical, uniform))
+    weighed = {
+        eps: dict(
+            similarities=sm,
+            points=po,
+            weights=w,
+            degenerate=uniform,
+            identical=identical,
+            group_distances=gds[eps],
+            divergence=divergence_from_group_distances(gds[eps]),
+        )
+        for eps, (sm, po, w, identical, uniform) in chains.items()
+    }
 
-    attitudes: dict[tuple[float, float], tuple] = {}
-    supports: dict[tuple[SplitStrategy, DpSource], tuple] = {}
+    attitudes: dict[tuple[float, float], dict] = {}
+    supports: dict[tuple[SplitStrategy, DpSource], dict] = {}
     out = []
     for config in configs:
-        sm, po, w, degenerate, gd, div, notes = weighed[config.tie_epsilon]
-
+        weighing = weighed[config.tie_epsilon]
         key = (config.tie_epsilon, config.credibility_floor)
         if key not in attitudes:
-            cr = credibility_shares(div, config.credibility_floor)
+            cr = credibility_shares(weighing["divergence"], config.credibility_floor)
             alpha = attitude_shares(iv_shares, cr)
             inside = (alpha > 0.0) & (alpha < 1.0)
-            outside = np.argwhere(~inside)
-            if outside.size:
-                a, e = outside[0]
+            if not inside.all():
+                a, e = np.argwhere(~inside)[0]
                 raise DomainError(
                     f"attitude characters must lie strictly in (0, 1), got {alpha[a, e]}",
                     location=f"{labels[a]}/{experts[e]}",
@@ -360,10 +381,11 @@ def _evaluate_configs(
             _check_shares("credibility", cr, valid, "must lie in [0, 1]", labels, experts)
             bounds = "must lie strictly in (0, 1)"
             _check_shares("attitude characters", alpha, inside, bounds, labels, experts)
-            sharp = _readonly((1.0 - alpha) / alpha)  # as sharpness() gives it
-            owa = _readonly(owa_matrix(m, sharp))
-            attitudes[key] = (_readonly(cr), _readonly(alpha), sharp, owa)
-        cr, alpha, sharp, owa = attitudes[key]
+            sharp = (1.0 - alpha) / alpha  # as sharpness() gives it
+            attitudes[key] = dict(
+                credibility=cr, attitude=alpha, sharpness=sharp, owa=owa_matrix(m, sharp)
+            )
+        attitude = attitudes[key]
 
         key = (config.split_strategy, config.dp_source)
         if key not in supports:
@@ -371,36 +393,42 @@ def _evaluate_configs(
                 support = support_arrays(combined[..., 0], combined[..., 1], config.split_strategy)
             else:
                 support = support_arrays(mu, nu, config.split_strategy)
-            supports[key] = _readonly(support), _readonly(sorted_supports(support))
-        support, series = supports[key]
+            supports[key] = dict(support=support, series=sorted_supports(support))
+        support = supports[key]
 
-        dslf = _readonly(soft_likelihoods(series, owa))
-        ge = dict(zip(labels, gross_estimations(dslf).tolist()))
+        dslf = soft_likelihoods(support["series"], attitude["owa"])
+        out.append(
+            {
+                **shared,
+                **weighing,
+                **attitude,
+                **support,
+                "dslf": dslf,
+                "gross_estimation": gross_estimations(dslf),
+            }
+        )
+    return out
+
+
+def _evaluate_configs(
+    round_input: RoundInput, configs: Sequence[EvaluationConfig]
+) -> tuple[RoundReport, ...]:
+    """One round's report under each config, in order, from one pass over the round.
+
+    The arrays come from _round_arrays and are shared across the configs
+    as it says; each AlternativeReport's array fields are read-only views
+    of that alternative's rows. evaluate_round is the one-config case.
+    """
+    labels = round_input.alternatives
+    experts = round_input.expert_labels
+    out = []
+    for config, arrays in zip(configs, _round_arrays(round_input, configs)):
+        ge = dict(zip(labels, arrays["gross_estimation"].tolist()))
+        columns = [_readonly(arrays[name]) for name in _ROW_FIELDS]
+        notes = _degeneracies(labels, experts, arrays["identical"], arrays["degenerate"])
+        rows = zip(labels, zip(*columns), notes)
         reports = {
-            label: AlternativeReport(
-                label=label,
-                z=z[a],
-                combined=combined[a],
-                distances=within[a],
-                similarities=sm[a],
-                points=po[a],
-                weights=w[a],
-                degenerate=degenerate[a],
-                group_distances=gd[a],
-                divergence=div[a],
-                credibility=cr[a],
-                info_volume=raw_iv[a],
-                info_share=iv_shares[a],
-                attitude=alpha[a],
-                sharpness=sharp[a],
-                owa=owa[a],
-                support=support[a],
-                series=series[a],
-                dslf=dslf[a],
-                gross_estimation=ge[label],
-                degeneracies=notes[a],
-            )
-            for a, label in enumerate(labels)
+            label: AlternativeReport(label, *row, ge[label], note) for label, row, note in rows
         }
         ordered = itertools.chain.from_iterable(reports[k].degeneracies for k in sorted(reports))
         out.append(
@@ -458,26 +486,23 @@ def compare_configs(
     """Evaluate one round under several configurations side by side.
 
     Every stage runs once per distinct value of the config fields it reads,
-    so the configurations share the work they have in common; each outcome
-    equals the one evaluate_round gives for its configuration alone. When a
-    reference ranking is supplied, each outcome is flagged with
+    so the configurations share the work they have in common. Each outcome
+    is ranked from its config's gross estimations, with no report built,
+    and equals the one evaluate_round gives for its configuration alone.
+    When a reference ranking is supplied, each outcome is flagged with
     whether its ranking reproduces it exactly.
     """
     configs = tuple(configs)
     if not configs:
         raise DomainError("compare_configs needs at least one configuration")
     reference = tuple(reference_ranking) if reference_ranking is not None else None
+    labels = round_input.alternatives
     outcomes = []
-    for report in _evaluate_configs(round_input, configs):
-        ge = {label: r.gross_estimation for label, r in report.alternatives.items()}
-        outcomes.append(
-            ConfigOutcome(
-                config=report.config,
-                ranking=report.ranking,
-                gross_estimation=ge,
-                matches_reference=None if reference is None else report.ranking == reference,
-            )
-        )
+    for config, arrays in zip(configs, _round_arrays(round_input, configs)):
+        ge = dict(zip(labels, arrays["gross_estimation"].tolist()))
+        ranking = rank(ge)
+        matches = None if reference is None else ranking == reference
+        outcomes.append(ConfigOutcome(config, ranking, ge, matches))
     return tuple(outcomes)
 
 

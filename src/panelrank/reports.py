@@ -74,6 +74,17 @@ def _groups_pass(d, w, o, p, s) -> bool:
         )
 
 
+# each per-group field, its attribute and JSON key -> the type that checks one
+# expert's group of it
+_GROUP_TYPES = {
+    "distances": DistanceMatrix,
+    "weights": CriterionWeights,
+    "owa": OwaWeights,
+    "sharpness": Sharpness,
+    "series": LikelihoodSeries,
+}
+
+
 def _shares_pass(cr, raw, normalized, alpha) -> bool:
     """Whether an alternative's [E] shares pass the checks of CredibilityVector,
     InfoVolumeVector and AttitudeVector; no laxer than they are."""
@@ -97,10 +108,14 @@ def _alternative_from_dict(label: str, doc, experts, criteria, loc: str) -> Alte
         shape = tuple(sizes.get(axis) or int(axis) for axis in f.axes)
         values[f.attr] = _array(_field_value(doc, f.key, where), shape, where, f.dtype)
     _check_judgments(label, values["z"], values["combined"], experts, criteria)
-    groups = [values[k] for k in ("distances", "weights", "owa", "sharpness", "series")]
+    groups = [values[k] for k in _GROUP_TYPES]
     if not _groups_pass(*groups):
-        for d, w, o, p, s in zip(*groups):
-            DistanceMatrix(d), CriterionWeights(w), OwaWeights(o), Sharpness(p), LikelihoodSeries(s)
+        for row in zip(*groups):
+            for (key, build), value in zip(_GROUP_TYPES.items(), row):
+                try:
+                    build(value)
+                except DomainError as exc:
+                    raise DomainError(exc.reason, location=f"{loc}.{key}") from None
     shares = [values[k] for k in ("credibility", "info_volume", "info_share", "attitude")]
     if not _shares_pass(*shares):
         cr, raw, normalized, alpha = shares
@@ -127,8 +142,9 @@ def report_from_dict(doc: Mapping) -> RoundReport:
     A missing key, or an array whose shape does not fit the round's labels,
     raises a SchemaError that names the alternative and field. A judgment
     that IFN or ZJudgment rejects raises a DomainError located at its
-    alternative, expert and criterion; credibility, information volume or
-    attitude shares that their types reject raise that type's DomainError,
+    alternative, expert and criterion. A group's distances, weights, OWA
+    weights, sharpness or series, and credibility, information volume or
+    attitude shares, that their types reject raise that type's DomainError,
     located at the alternative and key. The derived info_volume.modified and
     series[].partials are recomputed, not read.
     """

@@ -87,9 +87,11 @@ GOLDEN = {
 
 
 # CLI arguments after the fixture path -> sha256 of what the CLI writes, on
-# supplier_rounds.json under the reference config: stdout for evaluate, the
-# --out file for trace. The list form of evaluate --format json is pinned
-# nowhere else byte for byte.
+# supplier_rounds.json: stdout for evaluate and compare-configs, the --out
+# file for trace. evaluate and trace run under the reference config,
+# compare-configs under the six canonical configs, with and without a
+# reference ranking. The list form of evaluate --format json and the
+# compare-configs table are pinned nowhere else byte for byte.
 CLI_GOLDEN = {
     ("evaluate", "--format", "json"): (
         "24be4d4ca1db81a5f6775d91d91cea9524abf6e122cba781713f70d4adddf574"
@@ -101,6 +103,14 @@ CLI_GOLDEN = {
         "fbe43bd2192ddcd8b2947555ee9edad09cc4a484107e39a98136f47fc58ec95e"
     ),
     ("trace", "--out"): "fbe43bd2192ddcd8b2947555ee9edad09cc4a484107e39a98136f47fc58ec95e",
+    ("compare-configs",): "35d403acdc560a224ef5b2814c4468cab72698685b3e5bcfbc6a7b239e08e578",
+    (
+        "compare-configs",
+        "--round",
+        "r1",
+        "--reference",
+        "Supplier_4 > Supplier_3 > Supplier_2 > Supplier_1 > Supplier_5",
+    ): "2a582946782dac9f2a45d6c0d8fd6410185a6a1eae8936616c9d81e4a851df6d",
 }
 
 

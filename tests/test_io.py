@@ -463,6 +463,16 @@ def test_report_from_dict_locates_a_series_entry_that_is_not_an_object(report1):
     with pytest.raises(SchemaError, match="expected an object") as caught:
         report_from_dict(doc)
     assert caught.value.location == "alternatives.Supplier_2.series"
+    doc, alt = _alternative_doc(report1)
+    alt["owa"][0][0] += 0.25
+    with pytest.raises(DomainError, match="OWA weights must sum to 1") as caught:
+        report_from_dict(doc)
+    assert caught.value.location == "alternatives.Supplier_2.owa"
+    doc, alt = _alternative_doc(report1)
+    alt["sharpness"][1] = -1.0
+    with pytest.raises(DomainError, match="sharpness must be a positive real") as caught:
+        report_from_dict(doc)
+    assert caught.value.location == "alternatives.Supplier_2.sharpness"
 
 
 @pytest.mark.parametrize(
@@ -486,16 +496,30 @@ def test_report_from_dict_locates_an_invalid_judgment(report1, field, index, val
 def test_report_from_dict_checks_each_group_as_its_type_does(report1):
     doc, alt = _alternative_doc(report1)
     alt["weights"][2]["values"][0] += 0.25
-    with pytest.raises(DomainError, match="weights must sum to 1"):
+    with pytest.raises(DomainError) as caught:
         report_from_dict(doc)
+    assert caught.value.reason == "weights must sum to 1, got 1.25"
+    assert caught.value.location == "alternatives.Supplier_2.weights"
     doc, alt = _alternative_doc(report1)
     alt["distances"][0][0][1] = 0.5
-    with pytest.raises(DomainError, match="symmetric"):
+    with pytest.raises(DomainError, match="symmetric") as caught:
         report_from_dict(doc)
+    assert caught.value.location == "alternatives.Supplier_2.distances"
     doc, alt = _alternative_doc(report1)
     alt["series"][1]["dp"].reverse()
-    with pytest.raises(DomainError, match="sorted descending"):
+    with pytest.raises(DomainError, match="sorted descending") as caught:
         report_from_dict(doc)
+    assert caught.value.location == "alternatives.Supplier_2.series"
+    doc, alt = _alternative_doc(report1)
+    alt["owa"][0][0] += 0.25
+    with pytest.raises(DomainError, match="OWA weights must sum to 1") as caught:
+        report_from_dict(doc)
+    assert caught.value.location == "alternatives.Supplier_2.owa"
+    doc, alt = _alternative_doc(report1)
+    alt["sharpness"][1] = -1.0
+    with pytest.raises(DomainError, match="sharpness must be a positive real") as caught:
+        report_from_dict(doc)
+    assert caught.value.location == "alternatives.Supplier_2.sharpness"
 
 
 _SHARE_TYPES = {

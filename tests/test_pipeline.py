@@ -319,6 +319,17 @@ def test_a_saturated_attitude_fails_with_its_location(make, where):
     assert caught.value.location == where
 
 
+def test_compare_configs_fails_where_evaluate_round_does():
+    # the attitude check runs before any outcome is made, so the first
+    # config's fault surfaces as it does for that config alone
+    with pytest.raises(DomainError) as alone:
+        evaluate_round(_lopsided_round(24), config_grid()[0])
+    with pytest.raises(DomainError) as shared:
+        compare_configs(_lopsided_round(24), config_grid())
+    assert alone.value.location == "A/E1"
+    assert (shared.value.reason, shared.value.location) == (alone.value.reason, "A/E1")
+
+
 def test_the_lopsided_round_evaluates_one_criterion_short_of_saturation():
     alpha = evaluate_round(_lopsided_round(23)).alternatives["A"].attitude
     assert 0.0 < alpha[1] < 1e-15 and alpha[0] < 1.0
