@@ -2,10 +2,10 @@
 
 A judgment (mu, nu) leaves 1 - mu - nu undecided. Before support values
 are formed that hesitancy can be split between membership and
-non-membership in different ways. This script splits a single judgment
-under every strategy, then shows the support values of one bundled group,
-and finally reruns the bundled rounds per strategy to show where the
-choice starts to matter.
+non-membership in different ways. This script shows the support values of
+one bundled group under every strategy, as the evaluated round reports
+them, then reruns the bundled rounds per strategy to show where the choice
+starts to matter.
 """
 
 from __future__ import annotations
@@ -18,31 +18,20 @@ import panelrank as pr
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
-def single_judgment() -> None:
-    item = pr.IFN(0.5, 0.2)
-    print(f"judgment mu={item.mu}, nu={item.nu}, hesitancy={item.hesitancy:.1f}")
-    for strategy in pr.SplitStrategy:
-        mu2, nu2 = pr.split_hesitancy(item, strategy)
-        print(f"    {strategy.value:<12} -> mu'={mu2:.4f}  nu'={nu2:.4f}  "
-              f"support={mu2 - nu2:+.4f}")
-    print()
-    print("equal and none both leave the support at mu - nu; proportional")
-    print("shifts it toward the judgment's own mu:nu ratio.")
-    print()
-
-
 def group_supports(round_input) -> None:
     label = round_input.alternatives[0]
-    # the first expert's judgments of the first alternative, [M, 2]
-    pairs = round_input.judgments[0, 0].tolist()
-    group = pr.GroupAssessment(tuple(pr.IFN(mu, nu) for mu, nu in pairs))
     expert = round_input.expert_labels[0]
     print(f"support values for {label}, {expert} "
           f"(criteria {', '.join(round_input.criteria_labels)}):")
     for strategy in pr.SplitStrategy:
-        values = pr.support_values(group, strategy)
+        config = replace(pr.reference_config(), split_strategy=strategy)
+        # the first expert's unsorted support values for the first alternative
+        values = pr.evaluate_round(round_input, config).alternatives[label].support[0]
         row = "  ".join(f"{v:+.4f}" for v in values)
         print(f"    {strategy.value:<12} {row}")
+    print()
+    print("equal and none both leave the support at mu - nu; proportional")
+    print("shifts it toward the judgment's own mu:nu ratio.")
     print()
 
 
@@ -59,7 +48,6 @@ def rankings_per_strategy(rounds) -> None:
 
 def main() -> None:
     rounds = pr.parse_judgments((FIXTURES / "supplier_rounds.json").read_bytes())
-    single_judgment()
     group_supports(rounds[0])
     rankings_per_strategy(rounds)
 

@@ -15,53 +15,15 @@ Typical use:
     print(report.ranking)
 """
 
-from .core import (
-    IFN,
-    SplitStrategy,
-    ZJudgment,
-    combine,
-    eifn,
-    js_distance,
-    js_distance_matrices,
-    js_distances,
-    mass_triples,
-    reliability,
-    split_hesitancy,
-    to_z,
-)
-from .credibility import (
-    AttitudeVector,
-    CredibilityVector,
-    InfoVolumeVector,
-    Panel,
-    attitude_characters,
-    credibility,
-    divergence_from_group_distances,
-    expert_divergence,
-    group_distance,
-    group_distance_matrix,
-    group_information_volume,
-    modified_info_volume,
-)
+from .core import SplitStrategy, mass_triples
+from .credibility import divergence_from_group_distances, group_distance_matrix
 from .errors import (
     DegenerateError,
-    DegenerateGroupError,
     DomainError,
     LengthMismatchError,
     PanelRankError,
     ParseError,
     SchemaError,
-)
-from .groups import (
-    CriterionWeights,
-    DistanceMatrix,
-    GroupAssessment,
-    PreferenceMatrix,
-    closeness_similarity,
-    criterion_weights,
-    pairwise_distances,
-    points,
-    preference_matrix,
 )
 from .io import (
     TraceRecord,
@@ -92,40 +54,14 @@ from .pipeline import (
     reference_config,
 )
 from .reports import report_from_dict
-from .slf import (
-    DpSource,
-    LikelihoodSeries,
-    OwaWeights,
-    Sharpness,
-    dp_values,
-    dslf,
-    ge_ties,
-    gross_estimation,
-    owa_weights,
-    rank,
-    sharpness,
-    support_values,
-)
+from .slf import DpSource, ge_ties, rank
 from .cli import cli_main
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "IFN",
-    "ZJudgment",
     "SplitStrategy",
     "DpSource",
-    "GroupAssessment",
-    "DistanceMatrix",
-    "PreferenceMatrix",
-    "CriterionWeights",
-    "Panel",
-    "CredibilityVector",
-    "InfoVolumeVector",
-    "AttitudeVector",
-    "Sharpness",
-    "OwaWeights",
-    "LikelihoodSeries",
     "EvaluationConfig",
     "RoundInput",
     "AlternativeReport",
@@ -136,38 +72,12 @@ __all__ = [
     "PanelRankError",
     "DomainError",
     "LengthMismatchError",
-    "DegenerateGroupError",
     "DegenerateError",
     "ParseError",
     "SchemaError",
-    "reliability",
-    "to_z",
-    "combine",
-    "eifn",
-    "js_distance",
-    "js_distances",
-    "js_distance_matrices",
     "mass_triples",
-    "split_hesitancy",
-    "pairwise_distances",
-    "closeness_similarity",
-    "preference_matrix",
-    "points",
-    "criterion_weights",
-    "group_distance",
     "group_distance_matrix",
-    "expert_divergence",
     "divergence_from_group_distances",
-    "credibility",
-    "group_information_volume",
-    "modified_info_volume",
-    "attitude_characters",
-    "sharpness",
-    "owa_weights",
-    "support_values",
-    "dp_values",
-    "dslf",
-    "gross_estimation",
     "rank",
     "ge_ties",
     "evaluate_round",

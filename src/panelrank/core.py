@@ -1,21 +1,19 @@
-"""Intuitionistic fuzzy arithmetic.
+"""Intuitionistic fuzzy arithmetic over whole stacks of judgments.
 
 An intuitionistic fuzzy number (IFN) is a pair (mu, nu) of membership and
 non-membership degrees with mu + nu <= 1. The remainder xi = 1 - mu - nu is
 the hesitancy, the mass the judge declined to commit either way. This module
-holds the atomic operations on single judgments: validation, the reliability
-summary, the Z-number transform and its reliability-weighted combination,
-information volume, the Jensen-Shannon distance between two judgments, and
-the hesitancy split that turns a judgment into a signed support value. The
-Z-number transform, information volume and distance also come in array
-forms over whole stacks of judgments, which the pipeline uses; the scalar
-forms are their reference.
+holds the operations on judgments that the later stages build on:
+validation, the Z-number transform and its reliability-weighted combination,
+information volume, the Jensen-Shannon distance kernel and its round
+passes, and the hesitancy split strategies. Each works on arrays of
+judgments; the one-judgment references they are tested against are in
+tests/oracles/chain.py.
 
-The types are immutable and the functions pure, so values can be shared
-freely, with one exception: the distance passes write into a PairScratch,
-the kernel's reusable buffers, so a thread needs its own. Threads gain
-nothing here, though: on a shared two-core host, two threads evaluating
-6 x 30 x 6 rounds ran at 0.80-1.03 times the speed of one.
+The functions are pure, with one exception: the distance passes write into
+a PairScratch, the kernel's reusable buffers, so a thread needs its own.
+Threads gain nothing here, though: on a shared two-core host, two threads
+evaluating 6 x 30 x 6 rounds ran at 0.80-1.03 times the speed of one.
 """
 
 from __future__ import annotations
@@ -23,12 +21,9 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-
-from .errors import DomainError
 
 SUM_TOL = 1e-9  # slack on mu + nu <= 1, absorbs decimal input rounding
 
@@ -41,31 +36,8 @@ _CARDINALITY = 3  # the hesitancy term spreads over {mu, nu, xi}
 _LOG1P_BELOW = 0.5
 
 
-@dataclass(frozen=True)
-class IFN:
-    """An intuitionistic fuzzy number: (membership, non-membership)."""
-
-    mu: float
-    nu: float
-
-    def __post_init__(self):
-        mu, nu = self.mu, self.nu
-        if not (isinstance(mu, float) and isinstance(nu, float)):
-            object.__setattr__(self, "mu", float(mu))
-            object.__setattr__(self, "nu", float(nu))
-            mu, nu = self.mu, self.nu
-        fault = ifn_fault(mu, nu)
-        if fault is not None:
-            raise DomainError(fault)
-
-    @property
-    def hesitancy(self) -> float:
-        """The undecided mass xi = 1 - mu - nu."""
-        return 1.0 - self.mu - self.nu
-
-
 def ifn_fault(mu: float, nu: float) -> str | None:
-    """Why IFN rejects the pair (mu, nu), or None if it accepts it."""
+    """Why (mu, nu) is not an intuitionistic fuzzy number, or None if it is."""
     if not (math.isfinite(mu) and math.isfinite(nu)):
         return f"IFN components must be finite, got ({mu}, {nu})"
     if not (0.0 <= mu <= 1.0 and 0.0 <= nu <= 1.0):
@@ -76,10 +48,10 @@ def ifn_fault(mu: float, nu: float) -> str | None:
 
 
 def first_ifn_fault(pairs: np.ndarray) -> tuple[tuple[int, ...], str] | None:
-    """The first pair IFN rejects in a [..., 2] array of (mu, nu), with why.
+    """The first pair ifn_fault rejects in a [..., 2] array of (mu, nu), with why.
 
-    Returns its index in C order and ifn_fault's message, or None when IFN
-    accepts every pair. One pass of comparisons over the whole array.
+    Returns its index in C order and ifn_fault's message, or None when every
+    pair is an IFN. One pass of comparisons over the whole array.
     """
     mu, nu = pairs[..., 0], pairs[..., 1]
     with np.errstate(invalid="ignore"):  # inf + -inf is a NaN, rejected below
@@ -90,18 +62,6 @@ def first_ifn_fault(pairs: np.ndarray) -> tuple[tuple[int, ...], str] | None:
     return index, ifn_fault(*pairs[index].tolist())
 
 
-@dataclass(frozen=True)
-class ZJudgment:
-    """An IFN paired with the reliability of the judgment behind it."""
-
-    ifn: IFN
-    reliability: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.reliability) and 0.0 <= self.reliability <= 1.0):
-            raise DomainError(f"reliability must lie in [0, 1], got {self.reliability}")
-
-
 class SplitStrategy(Enum):
     """How hesitancy mass is divided when forming support values."""
 
@@ -110,65 +70,29 @@ class SplitStrategy(Enum):
     NONE = "none"
 
 
-def reliability(ifn: IFN) -> float:
-    """Reliability of a judgment: (1 + mu)(1 - nu) / 2.
-
-    It rewards committed membership and penalizes committed non-membership,
-    reaching 1 at (1, 0) and 0 at (0, 1).
-    """
-    return 0.5 * (1.0 + ifn.mu) * (1.0 - ifn.nu)
-
-
-def to_z(ifn: IFN) -> ZJudgment:
-    """Pair an IFN with its own reliability, forming a Z-number."""
-    return ZJudgment(ifn, reliability(ifn))
-
-
-def combine(z: ZJudgment) -> IFN:
-    """Fold reliability back into the judgment: (mu r, nu r).
-
-    The result is always a valid IFN since r <= 1 shrinks both components
-    toward total hesitancy.
-    """
-    return IFN(z.ifn.mu * z.reliability, z.ifn.nu * z.reliability)
-
-
 def z_arrays(mu: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """to_z and combine over arrays of membership and non-membership degrees.
+    """The Z-number transform and its combination over arrays of (mu, nu) degrees.
 
-    Returns z [..., 3] holding (mu, nu, reliability) and combined [..., 2]
-    holding (mu r, nu r), each entry by the arithmetic of reliability and
-    combine, so bit for bit what they give.
+    The reliability of a judgment is r = (1 + mu)(1 - nu) / 2: it rewards
+    committed membership, penalizes committed non-membership, and reaches 1
+    at (1, 0) and 0 at (0, 1). Returns z [..., 3] holding (mu, nu, r) and
+    combined [..., 2] holding (mu r, nu r), each entry by the arithmetic of
+    the references reliability, to_z and combine, so bit for bit what they
+    give.
     """
     r = 0.5 * (1.0 + mu) * (1.0 - nu)
     return np.stack((mu, nu, r), axis=-1), np.stack((mu * r, nu * r), axis=-1)
 
 
-def eifn(ifn: IFN) -> float:
-    """Information volume of a single IFN, in bits.
+def eifn_values(mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """Information volume, in bits, over arrays of (mu, nu) degrees.
 
     Defined as -(mu log2 mu + nu log2 nu + xi log2(xi / 3)), with the
-    convention 0 log 0 = 0. The hesitancy term is spread over the three
-    possible resolutions of the undecided mass, which is why the maximum
-    log2(5) sits at (0.2, 0.2) rather than at the uniform triple.
-    """
-    total = 0.0
-    for p, q in (
-        (ifn.mu, ifn.mu),
-        (ifn.nu, ifn.nu),
-        (ifn.hesitancy, ifn.hesitancy / _CARDINALITY),
-    ):
-        if p > 0.0 and q > 0.0:
-            total -= p * math.log2(q)
-    return total
-
-
-def eifn_values(mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    """eifn over arrays of membership and non-membership degrees.
-
-    The terms are taken and subtracted in eifn's order, but the logs are
-    numpy's log2, which differs from libm's in the last place on a small
-    share of arguments. With numpy 2.4 on an x86-64 host with AVX-512, 6 of
+    convention 0 log 0 = 0: the hesitancy term is spread over the three
+    possible resolutions of the undecided mass. The terms are taken and
+    subtracted in the order of the reference eifn, but the logs are numpy's
+    log2, which differs from libm's in the last place on a small share of
+    arguments. With numpy 2.4 on an x86-64 host with AVX-512, 6 of
     the 5151 judgments on a 0.01 grid came out different, by at most 0.8
     float eps relative, and 166 of 200,000 uniform random judgments by at
     most 1.7 eps. The bound is 2 eps.
@@ -179,35 +103,6 @@ def eifn_values(mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
         defined = (p > 0.0) & (q > 0.0)
         total = total - np.where(defined, p * np.log2(np.where(defined, q, 1.0)), 0.0)
     return total
-
-
-def _jterm(x: float, y: float) -> float:
-    # x log(2x / (x + y)), taken as 0 when x <= 0 or x + y <= 0 (limit value),
-    # with the log split at _LOG1P_BELOW
-    s = x + y
-    if x <= 0.0 or s <= 0.0:
-        return 0.0
-    q = (x - y) / s
-    if abs(q) < _LOG1P_BELOW:
-        return x * math.log1p(q)
-    return x * math.log(2.0 * x / s)
-
-
-def js_distance(a: IFN, b: IFN) -> float:
-    """Jensen-Shannon distance between the (mu, nu, xi) mass triples.
-
-    The square root of half the sum of the six divergence terms, in natural
-    log form. Each component's two terms are added first, so swapping a and
-    b gives the same value bit for bit. Zero exactly when a == b, bounded by
-    sqrt(ln 2) < 1, and within 1e-15 of the exact distance.
-    """
-    total = (
-        (_jterm(a.mu, b.mu) + _jterm(b.mu, a.mu))
-        + (_jterm(a.nu, b.nu) + _jterm(b.nu, a.nu))
-        + (_jterm(a.hesitancy, b.hesitancy) + _jterm(b.hesitancy, a.hesitancy))
-    )
-    # total can dip a hair below zero for identical triples
-    return math.sqrt(max(0.5 * total, 0.0))
 
 
 def mass_triples(mu, nu) -> np.ndarray:
@@ -307,56 +202,6 @@ def _pair_pass(
     np.sqrt(np.maximum(total, 0.0, out=total), out=out)
 
 
-def js_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Jensen-Shannon distances between aligned stacks of mass triples.
-
-    a and b have shape [3, ...] with (mu, nu, xi) along the first axis, as
-    built by mass_triples; the result has the trailing shape. Each term takes
-    its log as js_distance does, log1p of the offset near x = y and log of
-    the ratio elsewhere, through numpy's vectorized log and log1p, and each
-    component's two terms are added first, so every entry is symmetric in a
-    and b bit for bit and within 1e-15 of the exact distance. It may differ
-    from js_distance in the last place, where numpy's log and libm's do.
-    The pairs go through the kernel of the round passes, _PASS_PAIRS at a
-    time.
-    """
-    shape = np.shape(a)[1:]
-    n = math.prod(shape)
-    flat = np.concatenate((np.reshape(a, (3, n)), np.reshape(b, (3, n))), axis=1)
-    out = np.empty(n)
-    scratch = PairScratch(n)
-    for start in range(0, n, _PASS_PAIRS):
-        first = np.arange(start, min(start + _PASS_PAIRS, n))
-        _pair_pass(scratch, flat, first, first + n, out[start : start + _PASS_PAIRS])
-    return out.reshape(shape)
-
-
-@functools.lru_cache(maxsize=64)
-def _upper_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
-    # the read-only row and column indices of the pairs i < j of k items
-    pairs = np.triu_indices(k, 1)
-    for index in pairs:
-        index.setflags(write=False)
-    return pairs
-
-
-def js_distance_matrices(triples: np.ndarray) -> np.ndarray:
-    """Distances between all pairs along the last axis of a [3, ..., k] stack.
-
-    Returns [..., k, k]: symmetric, zero on the diagonal, each pair computed
-    once by js_distances and mirrored, which is exact since js_distances is
-    symmetric bit for bit. The per-alternative reference of the round
-    passes.
-    """
-    k = triples.shape[-1]
-    rows, cols = _upper_pairs(k)
-    out = np.zeros(triples.shape[1:] + (k,))
-    out[..., rows, cols] = out[..., cols, rows] = js_distances(
-        triples[..., rows], triples[..., cols]
-    )
-    return out
-
-
 # A step of blocks larger than a pass spans at most this many passes, so the
 # block buffer of cross_expert_distances and the cached pair lists stay a
 # few passes' size.
@@ -392,7 +237,7 @@ def _block_pairs(k: int, lanes: int, blocks: int) -> tuple[np.ndarray, ...]:
     # fewer blocks are a prefix; sized by one pass or one block, whichever
     # is larger, or by at most _STEP_PASSES passes where a block spills over
     # a pass, and never by more blocks than a round has.
-    rows, cols = _upper_pairs(k)
+    rows, cols = np.triu_indices(k, 1)
     block = np.arange(blocks)[:, None, None]
     lane = np.arange(lanes)[None, :, None]
     src = block * (k * lanes) + lane
@@ -484,22 +329,3 @@ def cross_expert_distances(
         _fill_blocks(flat, n_exp, m, step, start, stop, scratch, block)
         for a, cross in enumerate(block.reshape(stop - start, m, n_exp, n_exp), start):
             reduce(a, cross.transpose(1, 2, 0))
-
-
-def split_hesitancy(ifn: IFN, strategy: SplitStrategy) -> tuple[float, float]:
-    """Distribute the hesitancy mass back onto (mu, nu).
-
-    Equal gives each side half, which keeps mu - nu bit-identical.
-    Proportional allocates in the ratio mu : nu, falling back to Equal when
-    both are zero. None returns the components untouched. Under Equal and
-    Proportional the result sums to 1.
-    """
-    if strategy is SplitStrategy.NONE:
-        return (ifn.mu, ifn.nu)
-    xi = ifn.hesitancy
-    if strategy is SplitStrategy.PROPORTIONAL and ifn.mu + ifn.nu > 0.0:
-        mu2 = ifn.mu + xi * ifn.mu / (ifn.mu + ifn.nu)
-        return (mu2, 1.0 - mu2)
-    # equal split, phrased so that mu' - nu' == mu - nu exactly
-    mu2 = ifn.mu + 0.5 * xi
-    return (mu2, mu2 - (ifn.mu - ifn.nu))

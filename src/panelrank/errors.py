@@ -34,14 +34,6 @@ class LengthMismatchError(PanelRankError):
     """Two sequences that must align have different lengths."""
 
 
-class DegenerateGroupError(PanelRankError):
-    """A judgment is identical to every other in its group.
-
-    Such a judgment has zero total distance, so closeness similarity is
-    undefined; callers fall back to uniform criterion weights.
-    """
-
-
 class DegenerateError(PanelRankError):
     """An aggregate vanished entirely and cannot be normalized."""
 

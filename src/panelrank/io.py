@@ -269,7 +269,7 @@ def _raise_first_fault(alternatives: dict, experts: list, criteria: list, loc: s
     """Raise the located error for the first fault of a round's judgments.
 
     Walks the matrices in file order, checking shapes, number types and
-    then each pair as IFN would; only runs once a fault is known.
+    then each pair by ifn_fault; only runs once a fault is known.
     """
     for alt_label, matrix in alternatives.items():
         alt_loc = f"{loc}.alternatives.{alt_label}"
@@ -320,7 +320,7 @@ def _parse_round(entry, loc) -> RoundInput:
             alternatives=tuple(alternatives),
             judgments=judgments,
         )
-    except DomainError as exc:  # a judgment IFN rejects, located in the round
+    except DomainError as exc:  # a judgment that is no IFN, located in the round
         raise DomainError(exc.reason, location=f"{loc}.alternatives.{exc.location}") from None
 
 

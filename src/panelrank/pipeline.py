@@ -92,9 +92,10 @@ class RoundInput:
     judgments[a, e, i] is the (mu, nu) pair that expert e gave alternative
     a on criterion i; the axes follow alternatives, expert_labels and
     criteria_labels. Any nested sequence of that shape is accepted and
-    copied into a read-only float array, whose every pair IFN must accept.
-    This is the one check on the judgments: nothing downstream builds an
-    IFN from them. Two rounds are equal when their labels and judgments are.
+    copied into a read-only float array, whose every pair must be an IFN
+    (core.ifn_fault). This is the one check on the judgments: nothing
+    downstream checks them again. Two rounds are equal when their labels
+    and judgments are.
     """
 
     round_label: str
@@ -249,8 +250,9 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def _check_shares(name: str, shares, valid, bounds: str, labels, experts) -> None:
-    """Check each alternative's [E] row of shares once per round, as the
-    per-expert types check one row: no laxer than they are.
+    """Check each alternative's [E] row of shares once per round, no laxer
+    than the per-expert reference types in tests/oracles/chain.py check one
+    row.
 
     valid marks the entries within bounds. The first alternative whose row
     holds an entry out of bounds, or does not sum to 1 within NORM_TOL,

@@ -1,9 +1,11 @@
 """Reading a report back from its dict form, the checked boundary for reports.
 
 report_from_dict is the inverse of io.report_to_dict. Its keys and shapes
-follow io.FIELDS. Its values are checked as the per-judgment, per-group and
-per-expert types check them, in one pass over each array; the types are
-built only to name a fault that pass found.
+follow io.FIELDS. Its values are checked by one ordered table of checks per
+field, each a pass over the round's array of that field: one expert's
+distances, criterion weights, OWA weights, sharpness and support series,
+then each alternative's credibility, information volume and attitude
+shares. The first check that fails names the fault.
 """
 
 from __future__ import annotations
@@ -13,16 +15,16 @@ from collections.abc import Mapping
 import numpy as np
 
 from .core import first_ifn_fault
-from .credibility import NORM_TOL, AttitudeVector, CredibilityVector, InfoVolumeVector
+from .credibility import NORM_TOL
 from .errors import DomainError, SchemaError
-from .groups import CriterionWeights, DistanceMatrix
 from .io import FIELDS, _require, config_from_dict
 from .pipeline import AlternativeReport, RoundReport
-from .slf import LikelihoodSeries, OwaWeights, Sharpness
 
 # written by report_to_dict, but recomputed rather than read
 _DERIVED = ("info_modified", "partials")
 _READ = tuple(f for group in FIELDS for f in group if f.key and f.attr not in _DERIVED)
+# each field's JSON key, without its member: where a fault in it is located
+_KEY = {f.attr: f.key.partition(".")[0].removesuffix("[]") for f in _READ}
 
 
 def _array(value, shape: tuple[int, ...], loc: str, dtype=float) -> np.ndarray:
@@ -47,7 +49,8 @@ def _field_value(doc, key: str, loc: str):
 
 
 def _check_judgments(label: str, z, combined, experts, criteria) -> None:
-    """Raise a located DomainError for a judgment that IFN or ZJudgment rejects."""
+    """Raise a located DomainError for a judgment that is not an IFN, or whose
+    reliability is not in [0, 1]."""
     rel = z[..., 2]
     faults = [first_ifn_fault(z[..., :2])]
     for k in np.argwhere(~((rel >= 0.0) & (rel <= 1.0)))[:1].tolist():
@@ -57,77 +60,111 @@ def _check_judgments(label: str, z, combined, experts, criteria) -> None:
         raise DomainError(reason, location=f"{label}, {experts[k]}, {criteria[i]}")
 
 
-def _groups_pass(d, w, o, p, s) -> bool:
-    """Whether every group passes the checks of DistanceMatrix, CriterionWeights,
-    OwaWeights, Sharpness and LikelihoodSeries; no laxer than they are."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        sums = np.stack([w.sum(axis=1), o.sum(axis=1)])
-        return bool(
-            (np.diagonal(d, axis1=1, axis2=2) == 0.0).all()
-            and (d == d.transpose(0, 2, 1)).all()
-            and ((d >= 0.0) & (d <= 1.0)).all()
-            and (np.isfinite(w) & (w >= 0.0) & np.isfinite(o) & (o >= 0.0)).all()
-            and (np.abs(sums - 1.0) <= 1e-9).all()
-            and (np.isfinite(p) & (p > 0.0)).all()
-            and (np.abs(s) <= 1.0 + 1e-9).all()
-            and (np.diff(s, axis=1) <= 0.0).all()
-        )
+def _rows(fault: np.ndarray) -> np.ndarray:
+    # [rows] from a [rows, ...] mask: whether any entry of a row is at fault
+    return fault.any(axis=tuple(range(1, fault.ndim)))
 
 
-# each per-group field, its attribute and JSON key -> the type that checks one
-# expert's group of it
-_GROUP_TYPES = {
-    "distances": DistanceMatrix,
-    "weights": CriterionWeights,
-    "owa": OwaWeights,
-    "sharpness": Sharpness,
-    "series": LikelihoodSeries,
+def _sum_off(a: np.ndarray) -> np.ndarray:
+    # [rows]: whether a row does not sum to 1 within NORM_TOL
+    return np.abs(a.sum(axis=-1) - 1.0) > NORM_TOL
+
+
+# Each field's checks, in order: a test that maps the field's [rows, ...]
+# array to a [rows] mask, true where a row is at fault, and the fault's
+# message, formatted with that row and its sum. A row of _GROUP_CHECKS is
+# one expert's group of each field, a row of _SHARE_CHECKS an alternative's
+# [E] shares; the first fault of the first row that has one is raised. A
+# group holds as many OWA weights and supports as criterion weights, and
+# an alternative as many attitude characters as credibility shares, so
+# these need no check that they are non-empty: the weights' sum, or the
+# count of credibility shares, fails first.
+_GROUP_CHECKS = {
+    "distances": (
+        (
+            lambda d: _rows(np.diagonal(d, axis1=1, axis2=2) != 0.0),
+            "distance matrix diagonal must be zero",
+        ),
+        (lambda d: _rows(d != d.transpose(0, 2, 1)), "distance matrix must be symmetric"),
+        (lambda d: _rows((d < 0.0) | (d > 1.0)), "distances must lie in [0, 1]"),
+    ),
+    "weights": (
+        (lambda w: _rows(~np.isfinite(w) | (w < 0.0)), "weights must be finite and non-negative"),
+        (_sum_off, "weights must sum to 1, got {sum}"),
+    ),
+    "owa": (
+        (
+            lambda o: _rows(~np.isfinite(o) | (o < 0.0)),
+            "OWA weights must be finite and non-negative",
+        ),
+        (_sum_off, "OWA weights must sum to 1, got {sum}"),
+    ),
+    "sharpness": (
+        (lambda p: ~(np.isfinite(p) & (p > 0.0)), "sharpness must be a positive real, got {row}"),
+    ),
+    "series": (
+        (lambda s: _rows(np.abs(s) > 1.0 + 1e-9), "support values must lie in [-1, 1]"),
+        (lambda s: _rows(np.diff(s, axis=-1) > 0.0), "support values must be sorted descending"),
+    ),
+}
+_SHARE_CHECKS = {
+    "credibility": (
+        (
+            lambda c: np.full(len(c), c.shape[-1] < 2),
+            "credibility needs one value per expert, two or more",
+        ),
+        (
+            lambda c: _rows(~np.isfinite(c) | (c < 0.0) | (c > 1.0)),
+            "credibility values must lie in [0, 1]",
+        ),
+        (_sum_off, "credibility must sum to 1, got {sum}"),
+    ),
+    "info_volume": (
+        (lambda raw: _rows(~np.isfinite(raw)), "raw info volume must be finite"),
+        (
+            lambda raw: _rows(~(np.isfinite(np.exp(raw)) & (np.exp(raw) > 0.0))),
+            "modified info volume must be finite and positive",
+        ),
+    ),
+    "info_share": (
+        (
+            lambda n: _rows(n <= 0.0) | _sum_off(n),
+            "normalized info volume must be positive and sum to 1",
+        ),
+    ),
+    "attitude": (
+        (
+            lambda a: _rows(~np.isfinite(a) | (a <= 0.0) | (a >= 1.0)),
+            "attitude characters must lie strictly in (0, 1)",
+        ),
+        (_sum_off, "attitude characters must sum to 1, got {sum}"),
+    ),
 }
 
 
-def _shares_pass(cr, raw, normalized, alpha) -> bool:
-    """Whether an alternative's [E] shares pass the checks of CredibilityVector,
-    InfoVolumeVector and AttitudeVector; no laxer than they are."""
+def _check(table, values: Mapping[str, np.ndarray], loc: str) -> None:
+    """Raise the DomainError of a table's first check that a row of values
+    fails, rows outermost, located at loc and the field's key."""
+    checks = [(attr, *check) for attr, field_checks in table.items() for check in field_checks]
     with np.errstate(invalid="ignore", over="ignore"):
-        modified = np.exp(raw)
-        sums = np.stack([cr, normalized, alpha]).sum(axis=1)
-        return bool(
-            cr.size >= 2
-            and (np.isfinite(cr) & (cr >= 0.0) & (cr <= 1.0)).all()
-            and (np.isfinite(modified) & (modified > 0.0) & (normalized > 0.0)).all()
-            and (np.isfinite(alpha) & (alpha > 0.0) & (alpha < 1.0)).all()
-            and (np.abs(sums - 1.0) <= NORM_TOL).all()
-        )
+        failed = np.stack([test(values[attr]) for attr, test, _ in checks], axis=-1)
+        for row, index in np.argwhere(failed)[:1].tolist():
+            attr, _, message = checks[index]
+            value = values[attr][row]
+            reason = message.format(row=value, sum=value.sum())
+            raise DomainError(reason, location=f"{loc}.{_KEY[attr]}")
 
 
 def _alternative_from_dict(label: str, doc, experts, criteria, loc: str) -> AlternativeReport:
     sizes = {"e": len(experts), "m": len(criteria), "k": len(criteria)}
     values = {}
     for f in _READ:
-        where = f"{loc}.{f.key.partition('.')[0].removesuffix('[]')}"
-        shape = tuple(sizes.get(axis) or int(axis) for axis in f.axes)
+        where = f"{loc}.{_KEY[f.attr]}"
+        shape = tuple(sizes[axis] if axis in sizes else int(axis) for axis in f.axes)
         values[f.attr] = _array(_field_value(doc, f.key, where), shape, where, f.dtype)
     _check_judgments(label, values["z"], values["combined"], experts, criteria)
-    groups = [values[k] for k in _GROUP_TYPES]
-    if not _groups_pass(*groups):
-        for row in zip(*groups):
-            for (key, build), value in zip(_GROUP_TYPES.items(), row):
-                try:
-                    build(value)
-                except DomainError as exc:
-                    raise DomainError(exc.reason, location=f"{loc}.{key}") from None
-    shares = [values[k] for k in ("credibility", "info_volume", "info_share", "attitude")]
-    if not _shares_pass(*shares):
-        cr, raw, normalized, alpha = shares
-        for key, build, args in (
-            ("credibility", CredibilityVector, (cr,)),
-            ("info_volume", InfoVolumeVector, (raw, normalized)),
-            ("attitude", AttitudeVector, (alpha,)),
-        ):
-            try:
-                build(*args)
-            except DomainError as exc:
-                raise DomainError(exc.reason, location=f"{loc}.{key}") from None
+    _check(_GROUP_CHECKS, values, loc)
+    _check(_SHARE_CHECKS, {attr: values[attr][None] for attr in _SHARE_CHECKS}, loc)
     return AlternativeReport(
         label=label,
         gross_estimation=float(values.pop("gross_estimation")),
@@ -141,12 +178,13 @@ def report_from_dict(doc: Mapping) -> RoundReport:
 
     A missing key, or an array whose shape does not fit the round's labels,
     raises a SchemaError that names the alternative and field. A judgment
-    that IFN or ZJudgment rejects raises a DomainError located at its
-    alternative, expert and criterion. A group's distances, weights, OWA
-    weights, sharpness or series, and credibility, information volume or
-    attitude shares, that their types reject raise that type's DomainError,
-    located at the alternative and key. The derived info_volume.modified and
-    series[].partials are recomputed, not read.
+    that is not an IFN, or whose reliability is not in [0, 1], raises a
+    DomainError located at its alternative, expert and criterion. A group's
+    distances, weights, OWA weights, sharpness or series, and credibility,
+    information volume or attitude shares, that fail their checks raise a
+    DomainError located at the alternative and key: the first fault of the
+    first expert's group that has one, else of the shares. The derived
+    info_volume.modified and series[].partials are recomputed, not read.
     """
     kinds = {"round_label": str, "criteria_labels": list, "expert_labels": list, "config": dict}
     kinds.update(alternatives=dict, ranking=list, ties=list, degeneracies=list)

@@ -1,1 +1,1 @@
-"""Independent reimplementations of key quantities, used as test oracles."""
+"""References the tests hold the package to: the scalar chain, and independent oracles."""

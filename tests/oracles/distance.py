@@ -6,8 +6,8 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from panelrank import IFN
 from panelrank.core import _LOG1P_BELOW
+from oracles.chain import IFN
 
 # absolute bound on every distance the package computes against js_oracle:
 # a few ulp of the largest distance, sqrt(ln 2)

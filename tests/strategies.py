@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
-from panelrank import IFN, GroupAssessment, Panel, RoundInput
+from panelrank import RoundInput
 from panelrank.core import SUM_TOL
+from oracles.chain import IFN, GroupAssessment, Panel
 
 # the corners of the judgment triangle, total hesitancy, an even split, and
 # mu + nu just inside the validation slack, which gives a negative hesitancy

@@ -16,33 +16,35 @@ import numpy as np
 import pytest
 
 from panelrank import (
+    DomainError,
+    RoundInput,
+    cli_main,
+    config_grid,
+    emit_trace,
+    evaluate_round,
+    read_trace,
+    trace_records,
+)
+from oracles.chain import (
     IFN,
     CredibilityVector,
-    DomainError,
     GroupAssessment,
     InfoVolumeVector,
     LikelihoodSeries,
     OwaWeights,
     Panel,
-    RoundInput,
     Sharpness,
     attitude_characters,
-    cli_main,
-    config_grid,
     credibility,
     criterion_weights,
     dslf,
     eifn,
-    emit_trace,
-    evaluate_round,
     js_distance,
     owa_weights,
     points,
     preference_matrix,
-    read_trace,
     reliability,
     sharpness,
-    trace_records,
 )
 from oracles.preferences import points_oracle
 from strategies import panels_of, round_of_panels

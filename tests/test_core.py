@@ -8,16 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from panelrank import (
+from panelrank import DomainError, SplitStrategy, mass_triples
+from oracles.chain import (
     IFN,
-    DomainError,
-    SplitStrategy,
     ZJudgment,
     combine,
     eifn,
     js_distance,
     js_distances,
-    mass_triples,
     reliability,
     split_hesitancy,
     to_z,

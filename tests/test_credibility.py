@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from panelrank import (
+from panelrank import DomainError, LengthMismatchError
+from oracles.chain import (
     IFN,
     AttitudeVector,
     CredibilityVector,
     CriterionWeights,
-    DomainError,
     GroupAssessment,
     InfoVolumeVector,
-    LengthMismatchError,
     Panel,
     attitude_characters,
     credibility,

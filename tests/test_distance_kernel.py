@@ -20,28 +20,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from panelrank import (
-    IFN,
-    CriterionWeights,
-    GroupAssessment,
-    Panel,
-    config_grid,
-    evaluate_round,
-    expert_divergence,
-    group_distance,
-    js_distance,
-    js_distances,
-    mass_triples,
-    pairwise_distances,
-)
+from panelrank import config_grid, evaluate_round, mass_triples
 from panelrank import core
 from panelrank.core import (
     _PASS_PAIRS,
     SUM_TOL,
     PairScratch,
     cross_expert_distances,
-    js_distance_matrices,
     within_group_distances,
+)
+from oracles.chain import (
+    IFN,
+    CriterionWeights,
+    GroupAssessment,
+    Panel,
+    expert_divergence,
+    group_distance,
+    js_distance,
+    js_distance_matrices,
+    js_distances,
+    pairwise_distances,
 )
 from oracles.distance import ORACLE_TOL, js_distances_whole, js_oracle
 from strategies import SPECIAL, judgment_grids, round_of_panels

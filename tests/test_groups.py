@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from panelrank import (
+from panelrank import DomainError
+from oracles.chain import (
     IFN,
     CriterionWeights,
     DegenerateGroupError,
     DistanceMatrix,
-    DomainError,
     GroupAssessment,
     PreferenceMatrix,
     closeness_similarity,

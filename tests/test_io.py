@@ -14,14 +14,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from panelrank import (
-    IFN,
-    AttitudeVector,
-    CredibilityVector,
     DomainError,
     EvaluationConfig,
-    GroupAssessment,
-    InfoVolumeVector,
-    Panel,
     PanelRankError,
     ParseError,
     RoundInput,
@@ -40,6 +34,14 @@ from panelrank import (
     trace_records,
 )
 from panelrank.io import TRACE_HEADER, TRACE_STAGES
+from oracles.chain import (
+    IFN,
+    AttitudeVector,
+    CredibilityVector,
+    GroupAssessment,
+    InfoVolumeVector,
+    Panel,
+)
 from strategies import round_of_panels
 
 
@@ -423,6 +425,16 @@ def test_report_from_dict_checks_shapes_against_the_labels(report1):
     doc["alternatives"]["Supplier_1"]["dslf"].append(0.5)
     with pytest.raises(SchemaError, match=r"expected shape \(3,\), got \(4,\)"):
         report_from_dict(doc)
+
+
+@pytest.mark.parametrize("labels", ["expert_labels", "criteria_labels"])
+def test_report_from_dict_locates_a_shape_against_empty_labels(report1, labels):
+    # an empty label list sizes its axes at zero; it is no axis without a size
+    doc = json.loads(json.dumps(report_to_dict(report1)))
+    doc[labels] = []
+    with pytest.raises(SchemaError, match=r"expected shape \(") as caught:
+        report_from_dict(doc)
+    assert caught.value.location == f"alternatives.{next(iter(report1.alternatives))}.z"
 
 
 def _alternative_doc(report1, label="Supplier_2"):

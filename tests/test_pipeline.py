@@ -12,13 +12,9 @@ import numpy as np
 import pytest
 
 from panelrank import (
-    IFN,
-    AttitudeVector,
-    CredibilityVector,
     DomainError,
     DpSource,
     EvaluationConfig,
-    InfoVolumeVector,
     LengthMismatchError,
     RoundFailure,
     RoundInput,
@@ -34,6 +30,7 @@ from panelrank import (
     write_trace,
 )
 from panelrank import pipeline
+from oracles.chain import IFN, AttitudeVector, CredibilityVector, InfoVolumeVector
 from strategies import random_round
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"

@@ -27,46 +27,48 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from panelrank import (
-    IFN,
     AlternativeReport,
+    DpSource,
+    RoundInput,
+    compare_configs,
+    config_grid,
+    emit_judgments,
+    evaluate_round,
+    parse_judgments,
+)
+from panelrank.core import eifn_values
+from oracles.chain import (
+    IFN,
     CredibilityVector,
     CriterionWeights,
     DegenerateGroupError,
     DistanceMatrix,
-    DpSource,
     GroupAssessment,
     LikelihoodSeries,
     OwaWeights,
     Panel,
     PreferenceMatrix,
-    RoundInput,
     Sharpness,
     attitude_characters,
     closeness_similarity,
     combine,
-    compare_configs,
-    config_grid,
     credibility,
     criterion_weights,
     dp_values,
     dslf,
     eifn,
-    emit_judgments,
-    evaluate_round,
     gross_estimation,
     group_distance,
     group_information_volume,
     modified_info_volume,
     owa_weights,
     pairwise_distances,
-    parse_judgments,
     points,
     preference_matrix,
     sharpness,
     support_values,
     to_z,
 )
-from panelrank.core import eifn_values
 from oracles.distance import ORACLE_TOL
 from strategies import grid_rounds, panels_of, random_round, round_of_panels
 

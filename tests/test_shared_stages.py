@@ -19,19 +19,15 @@ import pytest
 from conftest import FIXTURES
 from panelrank import (
     DpSource,
-    GroupAssessment,
-    combine,
     compare_configs,
     config_grid,
-    dp_values,
     emit_trace,
     evaluate_round,
     ge_ties,
     parse_judgments,
-    support_values,
-    to_z,
 )
 from panelrank.pipeline import _evaluate_configs
+from oracles.chain import GroupAssessment, combine, dp_values, support_values, to_z
 from strategies import panels_of, random_round
 
 CONFIGS = tuple(

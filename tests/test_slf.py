@@ -7,22 +7,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from panelrank import (
+from panelrank import DomainError, LengthMismatchError, SplitStrategy, ge_ties, rank
+from oracles.chain import (
     IFN,
-    DomainError,
     GroupAssessment,
-    LengthMismatchError,
     LikelihoodSeries,
     OwaWeights,
     Sharpness,
-    SplitStrategy,
     combine,
     dp_values,
     dslf,
-    ge_ties,
     gross_estimation,
     owa_weights,
-    rank,
     reliability,
     sharpness,
     support_values,
