@@ -13,10 +13,11 @@ table.
 Rounds are independent: evaluate_all simply maps over them, isolating
 per-round failures. compare_configs evaluates one round under several
 configurations to expose how the discretionary choices move the ranking.
-Both go through _round_arrays, which runs each stage once per distinct
-value of the config fields it reads and returns every config's arrays.
-evaluate_round builds its report from them; compare_configs reads only
-each config's gross estimations and builds no report.
+Both go through _round_arrays, which computes the round-level stages once,
+the weighing through the OWA weights once per distinct (tie_epsilon,
+credibility_floor), and the rest once per config. evaluate_round builds
+its report from one config's arrays; compare_configs reads only each
+config's gross estimations and builds no report.
 """
 
 from __future__ import annotations
@@ -286,26 +287,25 @@ def _round_arrays(
     Each config's dict maps the AlternativeReport fields to their [A, ...]
     arrays, and adds identical [A, E], the groups whose uniform weights
     came from identical judgments, and gross_estimation [A]. Every stage
-    after the distance kernel runs once over all alternatives and experts,
-    and once per distinct value of the config fields it reads; the configs'
-    dicts share its results:
+    after the distance kernel runs once over all alternatives and experts:
 
-    - information volume, reliability, distances: no field;
-    - similarities, points, weights, group distances, divergence:
-      tie_epsilon;
-    - credibility, attitude, sharpness, OWA weights: tie_epsilon and
-      credibility_floor;
-    - supports and their sorted series: split_strategy and dp_source;
-    - soft likelihoods and gross estimation: once per config.
+    - information volume, reliability, within-group distances: per round;
+    - similarities, points, weights, cross-expert group distances,
+      divergence, credibility, attitude, sharpness, OWA weights: per
+      distinct (tie_epsilon, credibility_floor), shared by its configs;
+    - supports, series, soft likelihoods, gross estimation: per config.
 
     The checks raise in a fixed order: the information-volume overflow and
-    shares before any distance work, then the attitude, credibility and
-    attitude shares of each (tie_epsilon, credibility_floor) in config
-    order. The distances come from two round-level passes in fixed-size
-    chunks, within-group pairs first and cross-expert pairs after the
-    weights, so the kernel's working memory does not grow with the round.
-    No array is made read-only here: _evaluate_configs does that for the
-    arrays that reach a report.
+    shares before any distance work, then, per (tie_epsilon,
+    credibility_floor) in config order, an overflowing credibility_floor,
+    the attitude bounds, the credibility shares and the attitude sum (one
+    _check_shares call covers both attitude checks: its rows are
+    normalized, so no row fails its sum before an earlier row fails its
+    bounds). The distances come from round-level passes in fixed-size
+    chunks, within-group pairs first and cross-expert pairs after each
+    weighing, so the kernel's working memory does not grow with the round.
+    No array is made read-only here: evaluate_round does that for the
+    arrays that reach its report.
     """
     labels = round_input.alternatives
     experts = round_input.expert_labels
@@ -339,72 +339,61 @@ def _round_arrays(
     shared = dict(z=z, combined=combined, distances=within)
     shared.update(info_volume=raw_iv, info_share=iv_shares)
 
-    tie_epsilons = dict.fromkeys(c.tie_epsilon for c in configs)
-    chains = {eps: weigh_groups(within, eps) for eps in tie_epsilons}
-    gds = {eps: np.empty((n_alt, n_exp, n_exp)) for eps in chains}
+    def prefix(tie_epsilon: float, credibility_floor: float) -> dict[str, np.ndarray]:
+        sm, po, w, identical, uniform = weigh_groups(within, tie_epsilon)
+        gd = np.empty((n_alt, n_exp, n_exp))
 
-    def reduce(a, cross):
-        # one alternative's cross-expert distances under every tie_epsilon's
-        # weights, before the next block of alternatives overwrites them
-        for eps, (_, _, w, _, _) in chains.items():
-            gds[eps][a] = group_distance_matrix(cross, w[a])
+        def reduce(a, cross):
+            # before the next block of alternatives overwrites cross
+            gd[a] = group_distance_matrix(cross, w[a])
 
-    cross_expert_distances(triples, scratch, reduce)
-    weighed = {
-        eps: dict(
+        cross_expert_distances(triples, scratch, reduce)
+        div = divergence_from_group_distances(gd)
+        # a floor near the float maximum overflows the sum: a row of 0 or NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            cr = credibility_shares(div, credibility_floor)
+        for a in np.flatnonzero(~(cr > 0.0).any(axis=-1))[:1].tolist():
+            raise DomainError(
+                f"credibility_floor of {credibility_floor} overflows the credibility shares",
+                location=labels[a],
+            )
+        alpha = attitude_shares(iv_shares, cr)
+        inside = (alpha > 0.0) & (alpha < 1.0)
+        bounds = "must lie strictly in (0, 1)"
+        _check_shares("attitude characters", alpha, inside, bounds, labels, experts)
+        valid = np.isfinite(cr) & (cr >= 0.0) & (cr <= 1.0)
+        _check_shares("credibility", cr, valid, "must lie in [0, 1]", labels, experts)
+        sharp = (1.0 - alpha) / alpha  # as sharpness() gives it
+        return dict(
             similarities=sm,
             points=po,
             weights=w,
             degenerate=uniform,
             identical=identical,
-            group_distances=gds[eps],
-            divergence=divergence_from_group_distances(gds[eps]),
+            group_distances=gd,
+            divergence=div,
+            credibility=cr,
+            attitude=alpha,
+            sharpness=sharp,
+            owa=owa_matrix(m, sharp),
         )
-        for eps, (sm, po, w, identical, uniform) in chains.items()
-    }
 
-    attitudes: dict[tuple[float, float], dict] = {}
-    supports: dict[tuple[SplitStrategy, DpSource], dict] = {}
+    prefixes: dict[tuple[float, float], dict[str, np.ndarray]] = {}
     out = []
     for config in configs:
-        weighing = weighed[config.tie_epsilon]
         key = (config.tie_epsilon, config.credibility_floor)
-        if key not in attitudes:
-            cr = credibility_shares(weighing["divergence"], config.credibility_floor)
-            alpha = attitude_shares(iv_shares, cr)
-            inside = (alpha > 0.0) & (alpha < 1.0)
-            if not inside.all():
-                a, e = np.argwhere(~inside)[0]
-                raise DomainError(
-                    f"attitude characters must lie strictly in (0, 1), got {alpha[a, e]}",
-                    location=f"{labels[a]}/{experts[e]}",
-                )
-            valid = np.isfinite(cr) & (cr >= 0.0) & (cr <= 1.0)
-            _check_shares("credibility", cr, valid, "must lie in [0, 1]", labels, experts)
-            bounds = "must lie strictly in (0, 1)"
-            _check_shares("attitude characters", alpha, inside, bounds, labels, experts)
-            sharp = (1.0 - alpha) / alpha  # as sharpness() gives it
-            attitudes[key] = dict(
-                credibility=cr, attitude=alpha, sharpness=sharp, owa=owa_matrix(m, sharp)
-            )
-        attitude = attitudes[key]
-
-        key = (config.split_strategy, config.dp_source)
-        if key not in supports:
-            if config.dp_source is DpSource.COMBINED:
-                support = support_arrays(combined[..., 0], combined[..., 1], config.split_strategy)
-            else:
-                support = support_arrays(mu, nu, config.split_strategy)
-            supports[key] = dict(support=support, series=sorted_supports(support))
-        support = supports[key]
-
-        dslf = soft_likelihoods(support["series"], attitude["owa"])
+        if key not in prefixes:
+            prefixes[key] = prefix(*key)
+        source = combined if config.dp_source is DpSource.COMBINED else round_input.judgments
+        support = support_arrays(source[..., 0], source[..., 1], config.split_strategy)
+        series = sorted_supports(support)
+        dslf = soft_likelihoods(series, prefixes[key]["owa"])
         out.append(
             {
                 **shared,
-                **weighing,
-                **attitude,
-                **support,
+                **prefixes[key],
+                "support": support,
+                "series": series,
                 "dslf": dslf,
                 "gross_estimation": gross_estimations(dslf),
             }
@@ -412,47 +401,34 @@ def _round_arrays(
     return out
 
 
-def _evaluate_configs(
-    round_input: RoundInput, configs: Sequence[EvaluationConfig]
-) -> tuple[RoundReport, ...]:
-    """One round's report under each config, in order, from one pass over the round.
-
-    The arrays come from _round_arrays and are shared across the configs
-    as it says; each AlternativeReport's array fields are read-only views
-    of that alternative's rows. evaluate_round is the one-config case.
-    """
-    labels = round_input.alternatives
-    experts = round_input.expert_labels
-    out = []
-    for config, arrays in zip(configs, _round_arrays(round_input, configs)):
-        ge = dict(zip(labels, arrays["gross_estimation"].tolist()))
-        columns = [_readonly(arrays[name]) for name in _ROW_FIELDS]
-        notes = _degeneracies(labels, experts, arrays["identical"], arrays["degenerate"])
-        rows = zip(labels, zip(*columns), notes)
-        reports = {
-            label: AlternativeReport(label, *row, ge[label], note) for label, row, note in rows
-        }
-        ordered = itertools.chain.from_iterable(reports[k].degeneracies for k in sorted(reports))
-        out.append(
-            RoundReport(
-                round_label=round_input.round_label,
-                criteria_labels=round_input.criteria_labels,
-                expert_labels=experts,
-                config=config,
-                alternatives=reports,
-                ranking=rank(ge),
-                ties=ge_ties(ge),
-                degeneracies=tuple(ordered),
-            )
-        )
-    return tuple(out)
-
-
 def evaluate_round(round_input: RoundInput, config: EvaluationConfig | None = None) -> RoundReport:
-    """Run the full chain on one round. Deterministic for identical inputs."""
+    """Run the full chain on one round. Deterministic for identical inputs.
+
+    The arrays come from _round_arrays, which also says the order in which
+    its checks raise; each AlternativeReport's array fields are read-only
+    views of that alternative's rows.
+    """
     if config is None:
         config = EvaluationConfig()
-    return _evaluate_configs(round_input, (config,))[0]
+    labels = round_input.alternatives
+    experts = round_input.expert_labels
+    arrays = _round_arrays(round_input, (config,))[0]
+    ge = dict(zip(labels, arrays["gross_estimation"].tolist()))
+    columns = [_readonly(arrays[name]) for name in _ROW_FIELDS]
+    notes = _degeneracies(labels, experts, arrays["identical"], arrays["degenerate"])
+    rows = zip(labels, zip(*columns), notes)
+    reports = {label: AlternativeReport(label, *row, ge[label], note) for label, row, note in rows}
+    ordered = itertools.chain.from_iterable(reports[k].degeneracies for k in sorted(reports))
+    return RoundReport(
+        round_label=round_input.round_label,
+        criteria_labels=round_input.criteria_labels,
+        expert_labels=experts,
+        config=config,
+        alternatives=reports,
+        ranking=rank(ge),
+        ties=ge_ties(ge),
+        degeneracies=tuple(ordered),
+    )
 
 
 def evaluate_all(
@@ -487,12 +463,12 @@ def compare_configs(
 ) -> tuple[ConfigOutcome, ...]:
     """Evaluate one round under several configurations side by side.
 
-    Every stage runs once per distinct value of the config fields it reads,
-    so the configurations share the work they have in common. Each outcome
-    is ranked from its config's gross estimations, with no report built,
-    and equals the one evaluate_round gives for its configuration alone.
-    When a reference ranking is supplied, each outcome is flagged with
-    whether its ranking reproduces it exactly.
+    The configurations share the work _round_arrays says they share, and
+    its checks raise in the order it gives. Each outcome is ranked from its
+    config's gross estimations, with no report built, and equals the one
+    evaluate_round gives for its configuration alone. When a reference
+    ranking is supplied, each outcome is flagged with whether its ranking
+    reproduces it exactly.
     """
     configs = tuple(configs)
     if not configs:

@@ -5,7 +5,8 @@ follow io.FIELDS. Its values are checked by one ordered table of checks per
 field, each a pass over the round's array of that field: one expert's
 distances, criterion weights, OWA weights, sharpness and support series,
 then each alternative's credibility, information volume and attitude
-shares. The first check that fails names the fault.
+shares, and last every float field's finiteness. The first check that
+fails names the fault.
 """
 
 from __future__ import annotations
@@ -155,6 +156,22 @@ def _check(table, values: Mapping[str, np.ndarray], loc: str) -> None:
             raise DomainError(reason, location=f"{loc}.{_KEY[attr]}")
 
 
+def _check_finite(values: Mapping[str, np.ndarray], loc: str) -> None:
+    """Raise a DomainError, located at loc and the field's key, for the first
+    float field that holds a value the JSON writer cannot write: any value
+    that is not finite, except +inf in similarities."""
+    for attr, value in values.items():
+        if value.dtype.kind != "f":
+            continue
+        ok = np.isfinite(value)
+        if attr == "similarities":
+            ok |= value == np.inf
+        if not ok.all():
+            allowed = "finite or inf" if attr == "similarities" else "finite"
+            reason = f"values must be {allowed}, got {value[~ok][0]}"
+            raise DomainError(reason, location=f"{loc}.{_KEY[attr]}")
+
+
 def _alternative_from_dict(label: str, doc, experts, criteria, loc: str) -> AlternativeReport:
     sizes = {"e": len(experts), "m": len(criteria), "k": len(criteria)}
     values = {}
@@ -165,6 +182,7 @@ def _alternative_from_dict(label: str, doc, experts, criteria, loc: str) -> Alte
     _check_judgments(label, values["z"], values["combined"], experts, criteria)
     _check(_GROUP_CHECKS, values, loc)
     _check(_SHARE_CHECKS, {attr: values[attr][None] for attr in _SHARE_CHECKS}, loc)
+    _check_finite(values, loc)
     return AlternativeReport(
         label=label,
         gross_estimation=float(values.pop("gross_estimation")),
@@ -183,8 +201,11 @@ def report_from_dict(doc: Mapping) -> RoundReport:
     distances, weights, OWA weights, sharpness or series, and credibility,
     information volume or attitude shares, that fail their checks raise a
     DomainError located at the alternative and key: the first fault of the
-    first expert's group that has one, else of the shares. The derived
-    info_volume.modified and series[].partials are recomputed, not read.
+    first expert's group that has one, else of the shares. Last, the first
+    field that holds a NaN or an infinity, other than +inf similarities,
+    raises a DomainError located at the alternative and key, so a rebuilt
+    report can be written back. The derived info_volume.modified and
+    series[].partials are recomputed, not read.
     """
     kinds = {"round_label": str, "criteria_labels": list, "expert_labels": list, "config": dict}
     kinds.update(alternatives=dict, ranking=list, ties=list, degeneracies=list)

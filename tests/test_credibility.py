@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
 
-from panelrank import DomainError, LengthMismatchError
+from panelrank import (
+    DomainError,
+    LengthMismatchError,
+    compare_configs,
+    config_grid,
+    evaluate_round,
+    reference_config,
+)
 from oracles.chain import (
     IFN,
     AttitudeVector,
@@ -261,3 +270,28 @@ def test_full_cross_expert_chain_normalizes(panel):
     alpha = attitude_characters(iv, cr)
     assert alpha.values.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.all(alpha.values > 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the credibility floor in the pipeline
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_overflowing_credibility_floor_fails_with_its_location(round1):
+    # at 1.7e308 the sum of r1's raw credibilities overflows for Supplier_5
+    huge = replace(reference_config(), credibility_floor=1.7e308)
+    grid = [replace(c, credibility_floor=1.7e308) for c in config_grid()]
+    runs = (lambda: evaluate_round(round1, huge), lambda: compare_configs(round1, grid))
+    message = r"^credibility_floor of 1.7e\+308 overflows the credibility shares"
+    for run in runs:
+        with pytest.raises(DomainError, match=message) as caught:
+            run()
+        assert caught.value.location == "Supplier_5"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_large_credibility_floor_still_evaluates(round1):
+    ranking = ("Supplier_4", "Supplier_3", "Supplier_2", "Supplier_1", "Supplier_5")
+    large = replace(reference_config(), credibility_floor=1e300)
+    assert evaluate_round(round1, large).ranking == ranking
+    assert compare_configs(round1, [large])[0].ranking == ranking

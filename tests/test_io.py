@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
+import operator
 import re
 
 import numpy as np
@@ -571,6 +573,31 @@ def test_report_from_dict_locates_shares_their_types_reject(report1, edit, key):
     with pytest.raises(DomainError) as caught:
         report_from_dict(doc)
     assert caught.value.reason == expected.value.reason
+    assert caught.value.location == f"alternatives.Supplier_2.{key}"
+
+
+# where a NaN goes in an alternative's document, by the key it is located at
+_NAN_PATHS = {
+    "similarities": ("similarities", 1, 2),
+    "group_distances": ("group_distances", 0, 1),
+    "divergence": ("divergence", 1),
+    "info_volume": ("info_volume", "normalized", 1),
+    "dslf": ("dslf", 1),
+    "support": ("support", 1, 2),
+    "series": ("series", 1, "dp", 2),
+    "gross_estimation": ("gross_estimation",),
+}
+
+
+@pytest.mark.parametrize("key", _NAN_PATHS)
+def test_report_from_dict_rejects_a_nan_it_could_not_write_back(report1, key):
+    doc, alt = _alternative_doc(report1)
+    *path, last = _NAN_PATHS[key]
+    functools.reduce(operator.getitem, path, alt)[last] = math.nan
+    with pytest.raises(DomainError) as caught:
+        report_from_dict(doc)
+    allowed = "finite or inf" if key == "similarities" else "finite"
+    assert caught.value.reason == f"values must be {allowed}, got nan"
     assert caught.value.location == f"alternatives.Supplier_2.{key}"
 
 

@@ -355,7 +355,11 @@ def _scale(row):
 
 @pytest.mark.parametrize(
     "name, what",
-    [("credibility_shares", "credibility"), ("info_shares", "information shares")],
+    [
+        ("credibility_shares", "credibility"),
+        ("info_shares", "information shares"),
+        ("attitude_shares", "attitude characters"),
+    ],
 )
 def test_a_share_row_off_its_sum_fails_at_its_alternative(monkeypatch, round1, name, what):
     _faulty(monkeypatch, name, _scale)

@@ -1,11 +1,15 @@
 """compare_configs shares stages across configurations without changing a value.
 
-Each stage runs once per distinct value of the config fields it reads, so
-every config's outcome must equal what evaluate_round gives for that config
-alone, and must not depend on which other configs share the call. The
-configs here vary every field, so each memo key takes several values; a
-tie_epsilon of 1e-3 changes no weight on these rounds, 0.05 changes many.
-Comparisons are exact (==): sharing drops repeated calls and changes no
+The configs of one call share the round-level stages (information volume,
+reliability, within-group distances), and the configs that share
+tie_epsilon and credibility_floor share the weighing, cross-expert
+distances, credibility, attitude and OWA weights; supports, soft
+likelihoods and gross estimations are computed per config. So every
+config's arrays and outcome must equal what that config alone gives, and
+must not depend on which other configs share the call. The configs here
+vary every field, so the memo key takes several values; a tie_epsilon of
+1e-3 changes no weight on these rounds, 0.05 changes many. Comparisons are
+exact (== or equal bytes): sharing drops repeated calls and changes no
 arithmetic.
 """
 
@@ -21,12 +25,12 @@ from panelrank import (
     DpSource,
     compare_configs,
     config_grid,
-    emit_trace,
     evaluate_round,
     ge_ties,
     parse_judgments,
 )
-from panelrank.pipeline import _evaluate_configs
+from panelrank import pipeline
+from panelrank.pipeline import _round_arrays
 from oracles.chain import GroupAssessment, combine, dp_values, support_values, to_z
 from strategies import panels_of, random_round
 
@@ -68,9 +72,40 @@ def test_shared_outcomes_equal_separate_evaluations(round_input):
         assert outcome.gross_estimation == {
             label: alt.gross_estimation for label, alt in report.alternatives.items()
         }
-    # every intermediate value, through the shared path's full reports
-    for report in _evaluate_configs(round_input, CONFIGS):
-        assert emit_trace([report]) == emit_trace([alone[report.config]])
+    # every intermediate value, bit for bit: np.array_equal would take -0.0
+    # for 0.0, which the trace writes differently
+    for config, shared in zip(CONFIGS, _round_arrays(round_input, CONFIGS)):
+        (single,) = _round_arrays(round_input, (config,))
+        assert shared.keys() == single.keys()
+        for name, array in shared.items():
+            assert (array.shape, array.dtype) == (single[name].shape, single[name].dtype), name
+            assert array.tobytes() == single[name].tobytes(), name
+
+
+def _distance_passes(monkeypatch, run):
+    """How often run() calls the pipeline's within-group and cross-expert passes."""
+    calls = {"within_group_distances": 0, "cross_expert_distances": 0}
+    for name in calls:
+        real = getattr(pipeline, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(pipeline, name, counted)
+    run()
+    monkeypatch.undo()
+    return calls["within_group_distances"], calls["cross_expert_distances"]
+
+
+@pytest.mark.parametrize("round_input", ROUNDS[:3], ids=lambda r: r.round_label)
+def test_the_grid_makes_one_pass_of_each_kind(monkeypatch, round_input):
+    grid = _distance_passes(monkeypatch, lambda: compare_configs(round_input, config_grid()))
+    assert grid == (1, 1)
+    assert _distance_passes(monkeypatch, lambda: evaluate_round(round_input)) == (1, 1)
+    within, cross = _distance_passes(monkeypatch, lambda: compare_configs(round_input, CONFIGS))
+    assert within == 1
+    assert cross <= len({(c.tie_epsilon, c.credibility_floor) for c in CONFIGS})
 
 
 @pytest.mark.parametrize("round_input", ROUNDS, ids=lambda r: r.round_label)
