@@ -18,7 +18,6 @@ Typical use:
 from .core import SplitStrategy, mass_triples
 from .credibility import divergence_from_group_distances, group_distance_matrix
 from .errors import (
-    DegenerateError,
     DomainError,
     LengthMismatchError,
     PanelRankError,
@@ -36,7 +35,6 @@ from .io import (
     plot_data,
     read_trace,
     report_to_dict,
-    trace_records,
     write_json,
     write_trace,
 )
@@ -72,7 +70,6 @@ __all__ = [
     "PanelRankError",
     "DomainError",
     "LengthMismatchError",
-    "DegenerateError",
     "ParseError",
     "SchemaError",
     "mass_triples",
@@ -91,7 +88,6 @@ __all__ = [
     "report_to_dict",
     "report_from_dict",
     "config_from_dict",
-    "trace_records",
     "emit_trace",
     "write_trace",
     "write_json",

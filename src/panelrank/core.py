@@ -5,8 +5,9 @@ non-membership degrees with mu + nu <= 1. The remainder xi = 1 - mu - nu is
 the hesitancy, the mass the judge declined to commit either way. This module
 holds the operations on judgments that the later stages build on:
 validation, the Z-number transform and its reliability-weighted combination,
-information volume, the Jensen-Shannon distance kernel and its round
-passes, and the hesitancy split strategies. Each works on arrays of
+information volume, the Jensen-Shannon distance kernel and pair_distances,
+the one driver that takes it over a round's within-group and cross-expert
+pairs, and the hesitancy split strategies. Each works on arrays of
 judgments; the one-judgment references they are tested against are in
 tests/oracles/chain.py.
 
@@ -203,8 +204,8 @@ def _pair_pass(
 
 
 # A step of blocks larger than a pass spans at most this many passes, so the
-# block buffer of cross_expert_distances and the cached pair lists stay a
-# few passes' size.
+# block buffer of pair_distances and the cached pair lists stay a few
+# passes' size.
 _STEP_PASSES = 4
 
 
@@ -254,78 +255,43 @@ def _block_pairs(k: int, lanes: int, blocks: int) -> tuple[np.ndarray, ...]:
     return flat
 
 
-def _fill_blocks(
+def pair_distances(
     flat: np.ndarray,
     k: int,
     lanes: int,
-    step: int,
-    start: int,
-    stop: int,
+    blocks: int,
     scratch: PairScratch,
-    out: np.ndarray,
+    reduce: Callable[[int, np.ndarray], None],
 ) -> None:
-    # the pair distances of blocks start..stop of flat [3, blocks * k * lanes],
-    # at most step of them, into out [(stop - start) * lanes * k * k]; the
-    # diagonal entries of out are left as they are
+    """The distances between every two of k items in each lane of every block, a step at a time.
+
+    flat is [3, blocks * k * lanes], block b holding item i of lane c at
+    (b * k + i) * lanes + c. For each step of blocks start, start + 1, ...
+    in order, calls reduce(start, d) with d [n, lanes, k, k] holding the
+    distance between items i and j of lane c of block start + b at
+    [b, c, i, j], bit for bit js_distance_matrices of that lane's [3, k]
+    triples. The pairs go through passes of at most _PASS_PAIRS pairs into
+    one zeroed buffer that every step reuses: reduce must be done with d
+    when it returns. A step holds as many blocks as fit one pass, or, where
+    one block's pairs overflow a pass, the few, within _STEP_PASSES passes,
+    whose passes run fullest: at 6 x 30 x 6 three alternatives' 7,830
+    cross-expert pairs fill four passes, where one alternative's 2,610
+    would fill one and leave a 562-pair tail. So the working memory is
+    bounded by a few passes and one block, whatever the number of blocks.
+    """
+    step = _blocks_per_step(k, lanes, blocks)
     first, second, upper, lower = _block_pairs(k, lanes, step)
-    src = flat[:, start * k * lanes : stop * k * lanes]
-    count = (stop - start) * lanes * (k * (k - 1) // 2)
-    for begin in range(0, count, _PASS_PAIRS):
-        end = min(begin + _PASS_PAIRS, count)
-        d = scratch.distances[: end - begin]
-        _pair_pass(scratch, src, first[begin:end], second[begin:end], d)
-        # an index assignment scatters about three times as fast as np.put
-        out[upper[begin:end]] = d
-        out[lower[begin:end]] = d
-
-
-def within_group_distances(triples: np.ndarray, scratch: PairScratch) -> np.ndarray:
-    """js_distance_matrices of a [3, ..., M] stack, bit for bit, in fixed-size passes.
-
-    Returns [..., M, M]. Every group's pairs go through passes of at most
-    _PASS_PAIRS pairs, several small groups to a pass, or large groups a
-    few at a time over several passes that run nearly full, so the working
-    memory beyond the result is bounded by a few passes and one group,
-    whatever the number of groups.
-    """
-    m = triples.shape[-1]
-    out = np.zeros(triples.shape[1:] + (m,))
-    flat = triples.reshape(3, -1)
-    groups = flat.shape[1] // m
-    step = _blocks_per_step(m, 1, groups)
-    for start in range(0, groups, step):
-        stop = min(start + step, groups)
-        block = out.reshape(-1)[start * m * m : stop * m * m]
-        _fill_blocks(flat, m, 1, step, start, stop, scratch, block)
-    return out
-
-
-def cross_expert_distances(
-    triples: np.ndarray, scratch: PairScratch, reduce: Callable[[int, np.ndarray], None]
-) -> None:
-    """The distances between every two experts' judgments of a criterion, an alternative at a time.
-
-    triples is [3, A, E, M]. For each alternative a in order, calls
-    reduce(a, cross) with cross [E, E, M] holding the distance between
-    experts e and f on criterion m at [e, f, m], bit for bit
-    js_distance_matrices(triples[:, a].swapaxes(1, 2)).transpose(1, 2, 0),
-    as a view with those strides. The pairs go through passes of at most
-    _PASS_PAIRS pairs, a block of alternatives at a time, into one buffer
-    that every block reuses: reduce must be done with cross when it
-    returns. A block holds as many alternatives as fit one pass, or, where
-    one alternative's pairs overflow a pass, the few, within _STEP_PASSES
-    passes, whose passes run fullest: at 6 x 30 x 6 three alternatives'
-    7,830 pairs fill four passes, where one alternative's 2,610 would fill
-    one and leave a 562-pair tail.
-    """
-    _, n_alt, n_exp, m = triples.shape
-    flat = triples.reshape(3, -1)
-    step = _blocks_per_step(n_exp, m, n_alt)
-    size = m * n_exp * n_exp
+    size = lanes * k * k
     buffer = np.zeros(step * size)
-    for start in range(0, n_alt, step):
-        stop = min(start + step, n_alt)
-        block = buffer[: (stop - start) * size]
-        _fill_blocks(flat, n_exp, m, step, start, stop, scratch, block)
-        for a, cross in enumerate(block.reshape(stop - start, m, n_exp, n_exp), start):
-            reduce(a, cross.transpose(1, 2, 0))
+    for start in range(0, blocks, step):
+        n = min(step, blocks - start)
+        src = flat[:, start * k * lanes : (start + n) * k * lanes]
+        count = n * lanes * (k * (k - 1) // 2)
+        for begin in range(0, count, _PASS_PAIRS):
+            end = min(begin + _PASS_PAIRS, count)
+            d = scratch.distances[: end - begin]
+            _pair_pass(scratch, src, first[begin:end], second[begin:end], d)
+            # an index assignment scatters about three times as fast as np.put
+            buffer[upper[begin:end]] = d
+            buffer[lower[begin:end]] = d
+        reduce(start, buffer[: n * size].reshape(n, lanes, k, k))

@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from .core import eifn_values
-from .errors import DegenerateError
 
 NORM_TOL = 1e-9
 
@@ -85,10 +84,8 @@ def attitude_shares(normalized: np.ndarray, cr: np.ndarray) -> np.ndarray:
 
     alpha_e is the normalized product of expert e's information share and
     credibility share, so scaling either input uniformly cannot change it.
+    A row whose products all vanish comes out NaN, which the pipeline's
+    attitude check rejects.
     """
     product = normalized * cr
-    total = product.sum(axis=-1, keepdims=True)
-    if np.any(total <= 0.0):
-        # unreachable with a positive floor and exp, asserted defensively
-        raise DegenerateError("all credibility-volume products vanished")
-    return product / total
+    return product / product.sum(axis=-1, keepdims=True)

@@ -34,10 +34,6 @@ class LengthMismatchError(PanelRankError):
     """Two sequences that must align have different lengths."""
 
 
-class DegenerateError(PanelRankError):
-    """An aggregate vanished entirely and cannot be normalized."""
-
-
 class ParseError(PanelRankError):
     """Input text is not well-formed."""
 

@@ -557,11 +557,6 @@ def emit_trace(reports: Sequence[RoundReport]) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
-def trace_records(report: RoundReport) -> tuple[TraceRecord, ...]:
-    """One report's trace rows as records, one per quantity slot."""
-    return read_trace(emit_trace([report]))
-
-
 def read_trace(data: bytes | str) -> tuple[TraceRecord, ...]:
     """Parse a trace CSV back into records (inverse of emit_trace)."""
     if isinstance(data, bytes):

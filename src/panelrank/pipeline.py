@@ -32,10 +32,9 @@ import numpy as np
 from .core import (
     PairScratch,
     SplitStrategy,
-    cross_expert_distances,
     first_ifn_fault,
     mass_triples,
-    within_group_distances,
+    pair_distances,
     z_arrays,
 )
 from .credibility import (
@@ -280,14 +279,18 @@ def _degeneracies(labels, experts, identical, uniform) -> list[tuple[str, ...]]:
 
 
 def _round_arrays(
-    round_input: RoundInput, configs: Sequence[EvaluationConfig]
+    round_input: RoundInput, configs: Sequence[EvaluationConfig], keep_distances: bool
 ) -> list[dict[str, np.ndarray]]:
     """One round's arrays under each config, in order, from one pass over the round.
 
     Each config's dict maps the AlternativeReport fields to their [A, ...]
     arrays, and adds identical [A, E], the groups whose uniform weights
-    came from identical judgments, and gross_estimation [A]. Every stage
-    after the distance kernel runs once over all alternatives and experts:
+    came from identical judgments, and gross_estimation [A]. Without
+    keep_distances it holds no distances: the weighing reads only the
+    within-group distances' [A, E, M] row sums, which the pass reduces to a
+    step at a time, so only a report needs the [A, E, M, M] array. Every
+    stage after the distance kernel runs once over all alternatives and
+    experts:
 
     - information volume, reliability, within-group distances: per round;
     - similarities, points, weights, cross-expert group distances,
@@ -301,8 +304,8 @@ def _round_arrays(
     the attitude bounds, the credibility shares and the attitude sum (one
     _check_shares call covers both attitude checks: its rows are
     normalized, so no row fails its sum before an earlier row fails its
-    bounds). The distances come from round-level passes in fixed-size
-    chunks, within-group pairs first and cross-expert pairs after each
+    bounds). The distances come from core.pair_distances in fixed-size
+    passes, within-group pairs first and cross-expert pairs after each
     weighing, so the kernel's working memory does not grow with the round.
     No array is made read-only here: evaluate_round does that for the
     arrays that reach its report.
@@ -335,19 +338,32 @@ def _round_arrays(
     # room for the larger phase: A E M(M - 1) / 2 within-group pairs and
     # A M E(E - 1) / 2 cross-expert pairs
     scratch = PairScratch(n_alt * n_exp * m * (max(m, n_exp) - 1) // 2)
-    within = within_group_distances(triples, scratch)
-    shared = dict(z=z, combined=combined, distances=within)
-    shared.update(info_volume=raw_iv, info_share=iv_shares)
+    flat = triples.reshape(3, -1)
+    shared = dict(z=z, combined=combined, info_volume=raw_iv, info_share=iv_shares)
+    row_sums = np.empty((n_alt * n_exp, m))
+    if keep_distances:
+        shared["distances"] = np.empty((n_alt, n_exp, m, m))
+        within = shared["distances"].reshape(-1, m, m)
+
+    def keep_groups(start, d):
+        # a contiguous row sums the same way alone or in the whole array
+        np.sum(d[:, 0], axis=-1, out=row_sums[start : start + len(d)])
+        if keep_distances:
+            within[start : start + len(d)] = d[:, 0]
+
+    pair_distances(flat, m, 1, n_alt * n_exp, scratch, keep_groups)
+    row_sums = row_sums.reshape(n_alt, n_exp, m)
 
     def prefix(tie_epsilon: float, credibility_floor: float) -> dict[str, np.ndarray]:
-        sm, po, w, identical, uniform = weigh_groups(within, tie_epsilon)
+        sm, po, w, identical, uniform = weigh_groups(row_sums, tie_epsilon)
         gd = np.empty((n_alt, n_exp, n_exp))
 
-        def reduce(a, cross):
-            # before the next block of alternatives overwrites cross
-            gd[a] = group_distance_matrix(cross, w[a])
+        def reduce(start, d):
+            # before the next step of alternatives overwrites d
+            for a, cross in enumerate(d, start):
+                gd[a] = group_distance_matrix(cross.transpose(1, 2, 0), w[a])
 
-        cross_expert_distances(triples, scratch, reduce)
+        pair_distances(flat, n_exp, m, n_alt, scratch, reduce)
         div = divergence_from_group_distances(gd)
         # a floor near the float maximum overflows the sum: a row of 0 or NaN
         with np.errstate(over="ignore", invalid="ignore"):
@@ -412,7 +428,7 @@ def evaluate_round(round_input: RoundInput, config: EvaluationConfig | None = No
         config = EvaluationConfig()
     labels = round_input.alternatives
     experts = round_input.expert_labels
-    arrays = _round_arrays(round_input, (config,))[0]
+    arrays = _round_arrays(round_input, (config,), True)[0]
     ge = dict(zip(labels, arrays["gross_estimation"].tolist()))
     columns = [_readonly(arrays[name]) for name in _ROW_FIELDS]
     notes = _degeneracies(labels, experts, arrays["identical"], arrays["degenerate"])
@@ -476,7 +492,7 @@ def compare_configs(
     reference = tuple(reference_ranking) if reference_ranking is not None else None
     labels = round_input.alternatives
     outcomes = []
-    for config, arrays in zip(configs, _round_arrays(round_input, configs)):
+    for config, arrays in zip(configs, _round_arrays(round_input, configs, False)):
         ge = dict(zip(labels, arrays["gross_estimation"].tolist()))
         ranking = rank(ge)
         matches = None if reference is None else ranking == reference

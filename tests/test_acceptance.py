@@ -23,7 +23,6 @@ from panelrank import (
     emit_trace,
     evaluate_round,
     read_trace,
-    trace_records,
 )
 from oracles.chain import (
     IFN,
@@ -533,7 +532,7 @@ def test_criterion_10_cli_end_to_end(fixtures_dir, rounds, tmp_path, capsys):
     capsys.readouterr()
     data = trace_path.read_bytes()
     reports = [evaluate_round(r) for r in rounds]
-    expected_records = tuple(rec for r in reports for rec in trace_records(r))
+    expected_records = tuple(rec for r in reports for rec in read_trace(emit_trace([r])))
     trace_ok = (
         trace_ok and data == emit_trace(reports) and read_trace(data) == expected_records
     )

@@ -19,7 +19,6 @@ from oracles import chain
 PUBLIC = [
     "AlternativeReport",
     "ConfigOutcome",
-    "DegenerateError",
     "DomainError",
     "DpSource",
     "EvaluationConfig",
@@ -54,7 +53,6 @@ PUBLIC = [
     "reference_config",
     "report_from_dict",
     "report_to_dict",
-    "trace_records",
     "write_json",
     "write_trace",
 ]

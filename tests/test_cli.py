@@ -15,7 +15,6 @@ from panelrank import (
     emit_trace,
     evaluate_round,
     read_trace,
-    trace_records,
 )
 import panelrank.cli
 
@@ -130,7 +129,7 @@ def test_trace_writes_round_trippable_file(judgments, rounds, tmp_path, capsys):
     data = out.read_bytes()
     reports = [evaluate_round(r) for r in rounds]
     assert data == emit_trace(reports)
-    expected = tuple(rec for report in reports for rec in trace_records(report))
+    expected = tuple(rec for report in reports for rec in read_trace(emit_trace([report])))
     assert read_trace(data) == expected
 
 

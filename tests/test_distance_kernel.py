@@ -22,13 +22,7 @@ from hypothesis import strategies as st
 
 from panelrank import config_grid, evaluate_round, mass_triples
 from panelrank import core
-from panelrank.core import (
-    _PASS_PAIRS,
-    SUM_TOL,
-    PairScratch,
-    cross_expert_distances,
-    within_group_distances,
-)
+from panelrank.core import _PASS_PAIRS, SUM_TOL, PairScratch, pair_distances
 from oracles.chain import (
     IFN,
     CriterionWeights,
@@ -210,15 +204,23 @@ def test_kernel_takes_fixed_edge_pairs_as_the_whole_stack_form(pair):
     _assert_accurate(got, [tuple(ifns), tuple(ifns[::-1])])
 
 
+def _round_passes(triples, scratch, keep_groups, keep_alternatives) -> None:
+    """pair_distances over an [3, A, E, M] round as the pipeline takes it: each
+    expert's group of criteria, then each alternative's experts per criterion."""
+    _, n_alt, n_exp, m = triples.shape
+    flat = triples.reshape(3, -1)
+    pair_distances(flat, m, 1, n_alt * n_exp, scratch, keep_groups)
+    pair_distances(flat, n_exp, m, n_alt, scratch, keep_alternatives)
+
+
 def _count_passes(monkeypatch, triples) -> tuple[int, int]:
-    """The passes within_group_distances and cross_expert_distances make on triples."""
+    """The passes the within-group and cross-expert pair_distances make on triples."""
     calls = []
     kernel = core._pair_pass
     monkeypatch.setattr(core, "_pair_pass", lambda *args: calls.append(1) or kernel(*args))
-    scratch = PairScratch()
-    within_group_distances(triples, scratch)
-    within = len(calls)
-    cross_expert_distances(triples, scratch, lambda a, cross: None)
+    counts = []
+    _round_passes(triples, PairScratch(), lambda *_: counts.append(len(calls)), lambda *_: None)
+    within = counts[-1]
     return within, len(calls) - within
 
 
@@ -267,15 +269,20 @@ ROUND_SHAPES = (
 @given(seed=st.integers(0, 2**32 - 1))
 def test_round_passes_equal_the_per_alternative_matrices(shape, seed):
     triples = _edge_triples(np.random.default_rng(seed), shape)
-    scratch = PairScratch()
-    within = within_group_distances(triples, scratch)
-    crossed = []
-    cross_expert_distances(triples, scratch, lambda a, cross: crossed.append((a, cross.copy())))
+    grouped, crossed = [], []
+    # copies: every step reuses the buffer d views
+    _round_passes(
+        triples,
+        PairScratch(),
+        lambda start, d: grouped.extend(enumerate(d[:, 0].copy(), start)),
+        lambda start, d: crossed.extend(enumerate(d.copy(), start)),
+    )
+    assert [g for g, _ in grouped] == list(range(shape[0] * shape[1]))
     assert [a for a, _ in crossed] == list(range(shape[0]))
+    within = np.array([d for _, d in grouped]).reshape(shape + shape[-1:])
     for a, cross in crossed:
         assert np.array_equal(within[a], js_distance_matrices(triples[:, a]))
-        expected = js_distance_matrices(triples[:, a].swapaxes(1, 2)).transpose(1, 2, 0)
-        assert np.array_equal(cross, expected)
+        assert np.array_equal(cross, js_distance_matrices(triples[:, a].swapaxes(1, 2)))
 
 
 def test_kernel_at_the_largest_panel_with_every_special_value():

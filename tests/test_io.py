@@ -33,7 +33,6 @@ from panelrank import (
     read_trace,
     report_from_dict,
     report_to_dict,
-    trace_records,
 )
 from panelrank.io import TRACE_HEADER, TRACE_STAGES
 from oracles.chain import (
@@ -622,13 +621,13 @@ def _expected_record_count(report):
 
 
 def test_trace_covers_every_stage(report1):
-    records = trace_records(report1)
+    records = read_trace(emit_trace([report1]))
     assert {r.stage for r in records} == set(TRACE_STAGES)
     assert len(records) == _expected_record_count(report1)
 
 
 def test_trace_cell_conventions(report1):
-    records = trace_records(report1)
+    records = read_trace(emit_trace([report1]))
     by_key = {(r.alternative, r.stage, r.expert, r.criterion): r.value for r in records}
 
     alt = report1.alternatives["Supplier_1"]
@@ -683,7 +682,7 @@ def test_trace_marks_exact_ties():
             alternatives={"A": Panel(rows), "B": Panel(rows)},
         )
     )
-    records = trace_records(report)
+    records = read_trace(emit_trace([report]))
     ties = [r for r in records if r.stage == "rank" and r.criterion == "tie"]
     assert [(r.alternative, r.value) for r in ties] == [("A", "1.0000"), ("B", "1.0000")]
 
@@ -691,7 +690,7 @@ def test_trace_marks_exact_ties():
 def test_trace_round_trip_is_loss_free(report1):
     emitted = emit_trace([report1])
     records = read_trace(emitted)
-    assert records == trace_records(report1)
+    assert records == read_trace(emit_trace([report1]))
     assert emitted.decode("utf-8").splitlines()[0] == ",".join(TRACE_HEADER)
     again = emit_trace([report1])
     assert again == emitted
@@ -708,7 +707,7 @@ def test_labels_with_carriage_returns_round_trip():
     )
     report = evaluate_round(round_input)
     records = read_trace(emit_trace([report]))
-    assert records == trace_records(report)
+    assert records == read_trace(emit_trace([report]))
     assert {r.round for r in records} == {"r\r1"}
     assert {r.alternative for r in records} == {"A", "B\r"}
     assert {"x1", "x\r2", "x1-x\r2"} <= {r.criterion for r in records}

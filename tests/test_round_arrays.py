@@ -10,9 +10,9 @@ round's [A, E, ...] arrays. These tests hold it to three things:
   pipeline's own inputs to it. Equality is exact where the arithmetic is
   the same; the stages whose arithmetic differs are held to stated bounds;
 - memory beyond the report's arrays does not grow with the alternatives
-  and stays within a fixed bound at many criteria, no per-group object is
-  built, and from the file to the report no
-  per-judgment object either.
+  and stays within a fixed bound at many criteria, compare_configs holds
+  no [A, E, M, M] array, no per-group object is built, and from the file
+  to the report no per-judgment object either.
 """
 
 from __future__ import annotations
@@ -247,6 +247,20 @@ def test_working_memory_is_bounded_by_the_distance_passes():
     for shape in ((1, 10, 200), (60, 30, 6)):
         round_input = random_round(np.random.default_rng(1), *shape)
         assert _peak_beyond_report(round_input) < 4 * 2**20, shape
+
+
+def test_compare_configs_keeps_no_within_group_matrices():
+    # the weighing reads the within-group distances only through their
+    # [A, E, M] row sums; the [A, E, M, M] matrices of 2 x 30 x 300 alone
+    # would take 41 MiB. Traced from a cold start, caches included.
+    round_input = random_round(np.random.default_rng(1), 2, 30, 300)
+    tracemalloc.start()
+    try:
+        compare_configs(round_input, config_grid())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize(

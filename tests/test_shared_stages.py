@@ -74,28 +74,35 @@ def test_shared_outcomes_equal_separate_evaluations(round_input):
         }
     # every intermediate value, bit for bit: np.array_equal would take -0.0
     # for 0.0, which the trace writes differently
-    for config, shared in zip(CONFIGS, _round_arrays(round_input, CONFIGS)):
-        (single,) = _round_arrays(round_input, (config,))
-        assert shared.keys() == single.keys()
+    # compare_configs' arrays, which keep no distances, are the same bits too
+    lean = _round_arrays(round_input, CONFIGS, False)
+    for config, shared, kept in zip(CONFIGS, _round_arrays(round_input, CONFIGS, True), lean):
+        (single,) = _round_arrays(round_input, (config,), True)
+        assert shared.keys() == single.keys() == kept.keys() | {"distances"}
         for name, array in shared.items():
             assert (array.shape, array.dtype) == (single[name].shape, single[name].dtype), name
             assert array.tobytes() == single[name].tobytes(), name
+            if name != "distances":
+                assert array.tobytes() == kept[name].tobytes(), name
 
 
 def _distance_passes(monkeypatch, run):
-    """How often run() calls the pipeline's within-group and cross-expert passes."""
-    calls = {"within_group_distances": 0, "cross_expert_distances": 0}
-    for name in calls:
-        real = getattr(pipeline, name)
+    """How often run() calls the pipeline's within-group and cross-expert passes.
 
-        def counted(*args, _real=real, _name=name):
-            calls[_name] += 1
-            return _real(*args)
+    Both go through pair_distances(flat, k, lanes, ...): a within-group call
+    has one lane, and a cross-expert call one lane per criterion, two or more.
+    """
+    calls = {"within": 0, "cross": 0}
+    real = pipeline.pair_distances
 
-        monkeypatch.setattr(pipeline, name, counted)
+    def counted(*args):
+        calls["within" if args[2] == 1 else "cross"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(pipeline, "pair_distances", counted)
     run()
     monkeypatch.undo()
-    return calls["within_group_distances"], calls["cross_expert_distances"]
+    return calls["within"], calls["cross"]
 
 
 @pytest.mark.parametrize("round_input", ROUNDS[:3], ids=lambda r: r.round_label)
