@@ -111,6 +111,8 @@ FIELDS = (
     (Field("series[].partials", None, "em", "partials"),),
     (Field("gross_estimation", "ge", "", "gross_estimation"),),
 )
+# the float fields that may hold +inf
+INF_FIELDS = ("similarities", "sharpness")
 _JSON_FIELDS = tuple(f for group in FIELDS for f in group if f.key)
 _TRACE_GROUPS = tuple(g for g in (tuple(f for f in group if f.stage) for group in FIELDS) if g)
 TRACE_STAGES = tuple(f.stage for group in _TRACE_GROUPS for f in group) + ("rank",)
@@ -410,10 +412,9 @@ def _alternative_doc(alt: AlternativeReport, lists: bool) -> dict:
     doc = {"degeneracies": list(alt.degeneracies)}
     for f in _JSON_FIELDS:
         value = getattr(alt, f.attr)
-        if f.key == "similarities" and np.isinf(value).any():
-            # a judgment identical to all its peers has infinite similarity,
-            # which standard JSON cannot hold as a number
-            value = [[fnum(v) if math.isinf(v) else v for v in row] for row in value.tolist()]
+        if f.attr in INF_FIELDS and np.isinf(value).any():
+            # standard JSON cannot hold an infinity as a number
+            value = _inf_as_text(value.tolist())
         elif lists and f.axes:
             value = value.tolist()
         head, _, tail = f.key.partition(".")
@@ -425,6 +426,12 @@ def _alternative_doc(alt: AlternativeReport, lists: bool) -> dict:
         else:
             doc[head] = value
     return doc
+
+
+def _inf_as_text(value):
+    if isinstance(value, list):
+        return [_inf_as_text(v) for v in value]
+    return fnum(value) if math.isinf(value) else value
 
 
 def _report_doc(report: RoundReport, lists: bool) -> dict:
@@ -444,7 +451,8 @@ def report_to_dict(report: RoundReport) -> dict:
     """Plain-data form of a report; loss-free and JSON-serializable.
 
     Every number is finite except an infinite similarity (the identical-
-    judgment fallback), which is written as the string "inf".
+    judgment fallback) or sharpness (an attitude character of 0), which is
+    written as the string "inf".
     """
     return _report_doc(report, lists=True)
 

@@ -45,6 +45,7 @@ from .credibility import (
     group_distance_matrix,
     info_shares,
     information_volumes,
+    saturated_sharpness,
 )
 from .errors import DomainError, LengthMismatchError
 from .groups import weigh_groups
@@ -374,12 +375,17 @@ def _round_arrays(
                 location=labels[a],
             )
         alpha = attitude_shares(iv_shares, cr)
-        inside = (alpha > 0.0) & (alpha < 1.0)
-        bounds = "must lie strictly in (0, 1)"
-        _check_shares("attitude characters", alpha, inside, bounds, labels, experts)
+        valid = (alpha >= 0.0) & (alpha <= 1.0)
+        _check_shares("attitude characters", alpha, valid, "must lie in [0, 1]", labels, experts)
         valid = np.isfinite(cr) & (cr >= 0.0) & (cr <= 1.0)
         _check_shares("credibility", cr, valid, "must lie in [0, 1]", labels, experts)
-        sharp = (1.0 - alpha) / alpha  # as sharpness() gives it
+        with np.errstate(divide="ignore", over="ignore"):
+            sharp = (1.0 - alpha) / alpha  # as sharpness() gives it
+        # a row where that reads 0 or inf, from an attitude that rounds to 1
+        # or to almost 0, takes its sharpness from the volumes instead
+        saturated = ~(np.isfinite(sharp) & (sharp > 0.0)).all(axis=-1)
+        if saturated.any():
+            sharp[saturated] = saturated_sharpness(raw_iv[saturated], cr[saturated])
         return dict(
             similarities=sm,
             points=po,

@@ -18,7 +18,7 @@ import numpy as np
 from .core import first_ifn_fault
 from .credibility import NORM_TOL
 from .errors import DomainError, SchemaError
-from .io import FIELDS, _require, config_from_dict
+from .io import FIELDS, INF_FIELDS, _require, config_from_dict
 from .pipeline import AlternativeReport, RoundReport
 
 # written by report_to_dict, but recomputed rather than read
@@ -101,7 +101,7 @@ _GROUP_CHECKS = {
         (_sum_off, "OWA weights must sum to 1, got {sum}"),
     ),
     "sharpness": (
-        (lambda p: ~(np.isfinite(p) & (p > 0.0)), "sharpness must be a positive real, got {row}"),
+        (lambda p: ~(p > 0.0), "sharpness must be a positive real or inf, got {row}"),
     ),
     "series": (
         (lambda s: _rows(np.abs(s) > 1.0 + 1e-9), "support values must lie in [-1, 1]"),
@@ -135,8 +135,8 @@ _SHARE_CHECKS = {
     ),
     "attitude": (
         (
-            lambda a: _rows(~np.isfinite(a) | (a <= 0.0) | (a >= 1.0)),
-            "attitude characters must lie strictly in (0, 1)",
+            lambda a: _rows(~((a >= 0.0) & (a <= 1.0))),
+            "attitude characters must lie in [0, 1]",
         ),
         (_sum_off, "attitude characters must sum to 1, got {sum}"),
     ),
@@ -159,15 +159,15 @@ def _check(table, values: Mapping[str, np.ndarray], loc: str) -> None:
 def _check_finite(values: Mapping[str, np.ndarray], loc: str) -> None:
     """Raise a DomainError, located at loc and the field's key, for the first
     float field that holds a value the JSON writer cannot write: any value
-    that is not finite, except +inf in similarities."""
+    that is not finite, except +inf in similarities and sharpness."""
     for attr, value in values.items():
         if value.dtype.kind != "f":
             continue
         ok = np.isfinite(value)
-        if attr == "similarities":
+        if attr in INF_FIELDS:
             ok |= value == np.inf
         if not ok.all():
-            allowed = "finite or inf" if attr == "similarities" else "finite"
+            allowed = "finite or inf" if attr in INF_FIELDS else "finite"
             reason = f"values must be {allowed}, got {value[~ok][0]}"
             raise DomainError(reason, location=f"{loc}.{_KEY[attr]}")
 
@@ -202,9 +202,9 @@ def report_from_dict(doc: Mapping) -> RoundReport:
     information volume or attitude shares, that fail their checks raise a
     DomainError located at the alternative and key: the first fault of the
     first expert's group that has one, else of the shares. Last, the first
-    field that holds a NaN or an infinity, other than +inf similarities,
-    raises a DomainError located at the alternative and key, so a rebuilt
-    report can be written back. The derived info_volume.modified and
+    field that holds a NaN or an infinity, other than +inf similarities and
+    sharpness, raises a DomainError located at the alternative and key, so a
+    rebuilt report can be written back. The derived info_volume.modified and
     series[].partials are recomputed, not read.
     """
     kinds = {"round_label": str, "criteria_labels": list, "expert_labels": list, "config": dict}

@@ -38,9 +38,13 @@ def owa_matrix(k: int, p: float | np.ndarray) -> np.ndarray:
     powers go through np.power with an array exponent, so each row is
     the same bit for bit whether its sharpness comes alone or in a batch;
     the ** operator takes square and sqrt shortcuts for a scalar 2 or 0.5.
+    P = 0 gives its limit, all weight on the first position, where 0 ** 0
+    would give none; P = inf gives all weight on the last.
     """
     grid = np.arange(k + 1) / k
-    return np.diff(np.power(grid, np.asarray(p)[..., None]), axis=-1)
+    powers = np.power(grid, np.asarray(p)[..., None])
+    powers[..., 0] = 0.0  # 0 ** P for every P > 0
+    return np.diff(powers, axis=-1)
 
 
 def support_arrays(mu: np.ndarray, nu: np.ndarray, strategy: SplitStrategy) -> np.ndarray:

@@ -457,7 +457,11 @@ class InfoVolumeVector:
 
 @dataclass(frozen=True, eq=False)
 class AttitudeVector:
-    """Per-expert attitude characters: strictly positive, summing to 1."""
+    """Per-expert attitude characters in [0, 1], summing to 1.
+
+    A share far above the rest rounds to 1 and one far below to 0; the
+    sharpness of such a row is then out of this chain's reach.
+    """
 
     values: np.ndarray
 
@@ -465,8 +469,8 @@ class AttitudeVector:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or len(v) < 1:
             raise DomainError("attitude needs at least one value")
-        if np.any(~np.isfinite(v)) or np.any(v <= 0.0) or np.any(v >= 1.0):
-            raise DomainError("attitude characters must lie strictly in (0, 1)")
+        if not np.all((v >= 0.0) & (v <= 1.0)):
+            raise DomainError("attitude characters must lie in [0, 1]")
         if abs(v.sum() - 1.0) > NORM_TOL:
             raise DomainError(f"attitude characters must sum to 1, got {v.sum()}")
         v = v.copy()

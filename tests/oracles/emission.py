@@ -126,7 +126,7 @@ def alternative_dict(r) -> dict:
             "normalized": r.info_share.tolist(),
         },
         "attitude": r.attitude.tolist(),
-        "sharpness": r.sharpness.tolist(),
+        "sharpness": [fnum(v) if math.isinf(v) else v for v in r.sharpness.tolist()],
         "owa": r.owa.tolist(),
         "support": r.support.tolist(),
         "series": [

@@ -97,10 +97,13 @@ def test_info_volume_from_normalized_renormalizes():
         InfoVolumeVector.from_normalized([0.5, 0.0])
 
 
-def test_attitude_vector_bounds_are_strict():
-    with pytest.raises(DomainError):
-        AttitudeVector(np.array([0.0, 1.0]))
+def test_attitude_vector_bounds_are_closed():
+    # an attitude rounds to 0 or 1 where one expert's share dwarfs the rest
+    AttitudeVector(np.array([0.0, 1.0]))
     AttitudeVector(np.array([0.5, 0.5]))
+    for values in ([-0.25, 1.25], [np.nan, 1.0], [0.5, np.inf]):
+        with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
+            AttitudeVector(np.array(values))
 
 
 # ---------------------------------------------------------------------------

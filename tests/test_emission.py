@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import io
+import json
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -28,6 +29,8 @@ from panelrank import (
     emit_report,
     emit_trace,
     evaluate_round,
+    reference_config,
+    report_from_dict,
     report_to_dict,
     write_trace,
 )
@@ -90,6 +93,48 @@ def test_writers_match_the_reference_rendering(round_input):
     assert emit_judgments(rounds) == oracle.json_bytes(oracle.judgments_dict(rounds))
     reports = [report, evaluate_round(again)]
     assert _cli_json(rounds) == oracle.json_bytes([oracle.report_dict(r) for r in reports])
+
+
+def _lopsided(criteria, *groups):
+    labels = tuple(f"x{i}" for i in range(criteria))
+    experts = tuple(f"E{i}" for i in range(len(groups)))
+    return RoundInput("t", labels, experts, ("A",), [[[j] * criteria for j in groups]])
+
+
+@pytest.mark.parametrize(
+    "round_input, config, infinite",
+    [
+        # volumes 38 bits apart: one attitude rounds to 1
+        (
+            RoundInput(
+                "t",
+                tuple(f"x{i}" for i in range(32)),
+                ("", "1"),
+                ("A",),
+                [[[(0.0, 0.0)] * 32, [(1.0, 0.0)] * 24 + [(0.0, 0.0)] * 8]],
+            ),
+            reference_config(),
+            False,
+        ),
+        # 708 bits beside none, and no credibility floor: a sharpness of inf
+        (
+            _lopsided(447, (0.0, 0.0), (1.0, 0.0), (0.0, 1.0)),
+            dataclasses.replace(reference_config(), credibility_floor=0.0),
+            True,
+        ),
+    ],
+    ids=["1x2x32", "1x3x447"],
+)
+def test_a_saturated_round_is_written_and_read_back(round_input, config, infinite):
+    report = evaluate_round(round_input, config)
+    assert report.alternatives["A"].attitude.max() == 1.0
+    assert np.isinf(report.alternatives["A"].sharpness).any() == infinite
+    assert emit_trace([report]) == oracle.trace_bytes([report])
+    assert emit_report(report, "json") == oracle.json_bytes(oracle.report_dict(report))
+    back = report_from_dict(json.loads(emit_report(report, "json")))
+    for name in ("attitude", "sharpness", "owa", "dslf"):
+        written = getattr(report.alternatives["A"], name)
+        assert getattr(back.alternatives["A"], name).tolist() == written.tolist()
 
 
 def test_drawn_rounds_reach_infinite_similarities_and_ties():

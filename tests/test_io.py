@@ -552,6 +552,10 @@ def _attitude_holds_1(alt):
     alt["attitude"][0] = 1.0
 
 
+def _attitude_holds_1_5(alt):
+    alt["attitude"][0] = 1.5
+
+
 def _info_share_holds_0(alt):
     alt["info_volume"]["normalized"][0] = 0.0
 
@@ -561,6 +565,7 @@ def _info_share_holds_0(alt):
     [
         (_credibility_sums_to_0_9, "credibility"),
         (_attitude_holds_1, "attitude"),
+        (_attitude_holds_1_5, "attitude"),
         (_info_share_holds_0, "info_volume"),
     ],
 )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import math
@@ -290,11 +291,14 @@ def test_evaluate_all_isolates_failing_rounds(rounds):
     assert results[1].error_type == "DomainError"
 
 
-def _lopsided_round(criteria):
-    # E1 gives (0, 0) on every criterion, E2 (1, 0): E1 holds all the
-    # information volume, log2(3) bits a criterion against none
+def _lopsided_round(criteria, crisp=None):
+    # E1 gives (0, 0) on every criterion, E2 (1, 0) on the first crisp and
+    # (0, 0) on the rest: E1 holds all the information volume, log2(3) bits
+    # a criterion against none on each of E2's crisp criteria
+    crisp = criteria if crisp is None else crisp
     labels = tuple(f"x{i}" for i in range(criteria))
-    return _round({"A": [[(0.0, 0.0)] * criteria, [(1.0, 0.0)] * criteria]}, criteria=labels)
+    e2 = [(1.0, 0.0)] * crisp + [(0.0, 0.0)] * (criteria - crisp)
+    return _round({"A": [[(0.0, 0.0)] * criteria, e2]}, criteria=labels)
 
 
 @pytest.mark.parametrize(
@@ -303,28 +307,46 @@ def _lopsided_round(criteria):
         (lambda: random_round(np.random.default_rng(3), 3, 4, 300), "A2/E3"),
         (lambda: random_round(np.random.default_rng(1), 1, 4, 300), "A0/E0"),
         (lambda: _lopsided_round(24), "A/E1"),
+        (lambda: _lopsided_round(32, crisp=24), "A/E1"),
     ],
     # the random rounds by rng seed, alternatives and location
-    ids=["3-3-A2/E3", "1-1-A0/E0", "1x2x24-A/E1"],
+    ids=["3-3-A2/E3", "1-1-A0/E0", "1x2x24-A/E1", "1x2x32-A/E1"],
 )
-def test_a_saturated_attitude_fails_with_its_location(make, where):
+def test_a_saturated_attitude_evaluates_to_the_owa_limits(make, where):
     # one expert's information-volume share rounds to 1.0, and so does its
     # attitude: at 300 criteria the smallest share is about 1e-193, and two
-    # lopsided experts get there from 24 criteria
-    with pytest.raises(DomainError, match="strictly in") as caught:
-        evaluate_round(make())
-    assert caught.value.location == where
+    # lopsided experts get there from 24 criteria. Its sharpness, taken from
+    # the volumes, is near 0: all OWA weight on the best support, max dp.
+    # Every other expert's is near inf: all weight on the full product
+    report = evaluate_round(make())
+    label, expert = where.split("/")
+    alt = report.alternatives[label]
+    e = report.expert_labels.index(expert)
+    assert alt.attitude[e] == 1.0 and 0.0 < alt.sharpness[e] < 1e-15
+    assert alt.owa[e, 0] == pytest.approx(1.0, abs=1e-15)
+    assert alt.dslf[e] == pytest.approx(alt.series[e, 0], abs=1e-15)
+    others = np.delete(np.arange(len(report.expert_labels)), e)
+    assert (alt.sharpness[others] > 1e15).all() and (alt.owa[others, -1] == 1.0).all()
+    assert alt.dslf[others].tolist() == alt.partials[others, -1].tolist()
 
 
-def test_compare_configs_fails_where_evaluate_round_does():
-    # the attitude check runs before any outcome is made, so the first
+def test_a_saturated_random_round_keeps_its_gross_estimation():
+    # with the sharpness taken as (1 - alpha) / alpha, alpha = 1 gave P = 0
+    # and all-zero OWA weights: a gross estimation of about 1e-29
+    report = evaluate_round(random_round(np.random.default_rng(1), 1, 4, 300))
+    assert report.alternatives["A0"].gross_estimation == pytest.approx(13.25, rel=1e-12)
+
+
+def test_compare_configs_fails_where_evaluate_round_does(round1):
+    # the credibility check runs before any outcome is made, so the first
     # config's fault surfaces as it does for that config alone
+    huge = dataclasses.replace(config_grid()[0], credibility_floor=1.7e308)
     with pytest.raises(DomainError) as alone:
-        evaluate_round(_lopsided_round(24), config_grid()[0])
+        evaluate_round(round1, huge)
     with pytest.raises(DomainError) as shared:
-        compare_configs(_lopsided_round(24), config_grid())
-    assert alone.value.location == "A/E1"
-    assert (shared.value.reason, shared.value.location) == (alone.value.reason, "A/E1")
+        compare_configs(round1, [huge, *config_grid()])
+    assert alone.value.location == "Supplier_5"
+    assert (shared.value.reason, shared.value.location) == (alone.value.reason, "Supplier_5")
 
 
 def test_the_lopsided_round_evaluates_one_criterion_short_of_saturation():
@@ -383,7 +405,7 @@ def _above_one_at_2(row):
         ("info_shares", _nan_at_2, "information shares must be positive", 2),
         ("credibility_shares", _above_one_at_2, r"credibility must lie in \[0, 1\], got 1.5", 2),
         # the attitude follows the credibility, and its check comes first
-        ("credibility_shares", _nan_at_2, "attitude characters must lie strictly in", 0),
+        ("credibility_shares", _nan_at_2, r"attitude characters must lie in \[0, 1\]", 0),
     ],
 )
 def test_a_share_out_of_bounds_fails_at_its_expert(
