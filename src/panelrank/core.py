@@ -235,9 +235,9 @@ def _block_pairs(k: int, lanes: int, blocks: int) -> tuple[np.ndarray, ...]:
     # and [c, j, i] of its [lanes, k, k] output; block b's entries are offset
     # by b blocks. Returns the read-only pair lists (first item, second item,
     # upper and lower output position), blocks outermost, so the pairs of
-    # fewer blocks are a prefix; sized by one pass or one block, whichever
-    # is larger, or by at most _STEP_PASSES passes where a block spills over
-    # a pass, and never by more blocks than a round has.
+    # fewer blocks are a prefix. pair_distances caches only the lists of at
+    # most _STEP_PASSES passes; a step of one larger block builds them
+    # through __wrapped__, so a round of many criteria leaves none behind.
     rows, cols = np.triu_indices(k, 1)
     block = np.arange(blocks)[:, None, None]
     lane = np.arange(lanes)[None, :, None]
@@ -277,10 +277,13 @@ def pair_distances(
     whose passes run fullest: at 6 x 30 x 6 three alternatives' 7,830
     cross-expert pairs fill four passes, where one alternative's 2,610
     would fill one and leave a 562-pair tail. So the working memory is
-    bounded by a few passes and one block, whatever the number of blocks.
+    bounded by a few passes and one block, whatever the number of blocks,
+    and the pair lists left cached by a few passes.
     """
     step = _blocks_per_step(k, lanes, blocks)
-    first, second, upper, lower = _block_pairs(k, lanes, step)
+    cached = step * lanes * (k * (k - 1) // 2) <= _STEP_PASSES * _PASS_PAIRS
+    build = _block_pairs if cached else _block_pairs.__wrapped__
+    first, second, upper, lower = build(k, lanes, step)
     size = lanes * k * k
     buffer = np.zeros(step * size)
     for start in range(0, blocks, step):

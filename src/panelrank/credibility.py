@@ -85,22 +85,21 @@ def attitude_shares(normalized: np.ndarray, cr: np.ndarray) -> np.ndarray:
     alpha_e is the normalized product of expert e's information share and
     credibility share, so scaling either input uniformly cannot change it.
     A row whose products all vanish comes out NaN, which the pipeline's
-    attitude check rejects. One share far above the rest rounds to 1;
-    saturated_sharpness then gives that row's sharpness.
+    attitude check rejects.
     """
     product = normalized * cr
     return product / product.sum(axis=-1, keepdims=True)
 
 
-def saturated_sharpness(raw: np.ndarray, cr: np.ndarray) -> np.ndarray:
-    """The sharpness (1 - alpha) / alpha along the last axis of [..., E] rows,
+def sharpness_values(raw: np.ndarray, cr: np.ndarray) -> np.ndarray:
+    """The OWA sharpness (1 - alpha) / alpha along the last axis of [..., E] rows,
     taken from the raw volumes and credibility shares themselves.
 
     With c_e = exp(raw_e) cr_e, P_e = sum over f != e of c_f / c_e: an
     exclusive sum of positive terms, with each ratio taken in the log
-    domain. It stays exact where an attitude character rounds to 0 or 1
-    and (1 - alpha) / alpha reads 0 or inf; a ratio past the float range
-    gives P = inf, the OWA "for all" limit.
+    domain, so no 1 - alpha cancels where alpha is near 1. It runs to the
+    OWA limits where one c dwarfs the rest: P near 0 for that expert, and
+    a ratio past the float range gives P = inf, the "for all" limit.
     """
     log_c = raw + np.log(cr)
     with np.errstate(over="ignore"):

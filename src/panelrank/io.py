@@ -100,7 +100,6 @@ FIELDS = (
     (Field("divergence", "divergence", "e", "divergence"),),
     (Field("credibility", "credibility", "e", "credibility"),),
     (Field("info_volume.raw", "ivf", "e", "info_volume"),),
-    (Field("info_volume.modified", None, "e", "info_modified"),),
     (Field("info_volume.normalized", "ivf_norm", "e", "info_share"),),
     (Field("attitude", "alpha", "e", "attitude"),),
     (Field("dslf", "dslf", "e", "dslf"),),

@@ -45,7 +45,7 @@ from .credibility import (
     group_distance_matrix,
     info_shares,
     information_volumes,
-    saturated_sharpness,
+    sharpness_values,
 )
 from .errors import DomainError, LengthMismatchError
 from .groups import weigh_groups
@@ -164,9 +164,9 @@ class AlternativeReport:
     - group_distances [E, E], divergence [E]
     - credibility [E]: credibility shares
     - info_volume [E]: information volumes; info_share [E]: their softmax
-      shares; info_modified [E], derived: exp(info_volume)
+      shares
     - attitude [E]: attitude characters
-    - sharpness [E]; owa [E, M]
+    - sharpness [E]: OWA sharpness, from the volumes and credibility; owa [E, M]
     - support [E, M]: unsorted dp values; series [E, M]: sorted descending
     - dslf [E]
     """
@@ -192,11 +192,6 @@ class AlternativeReport:
     dslf: np.ndarray
     gross_estimation: float
     degeneracies: tuple[str, ...] = ()
-
-    @property
-    def info_modified(self) -> np.ndarray:
-        """The modified information volumes exp(info_volume), [E]."""
-        return _readonly(np.exp(self.info_volume))
 
     @property
     def partials(self) -> np.ndarray:
@@ -299,15 +294,15 @@ def _round_arrays(
       distinct (tie_epsilon, credibility_floor), shared by its configs;
     - supports, series, soft likelihoods, gross estimation: per config.
 
-    The checks raise in a fixed order: the information-volume overflow and
-    shares before any distance work, then, per (tie_epsilon,
-    credibility_floor) in config order, an overflowing credibility_floor,
-    the attitude bounds, the credibility shares and the attitude sum (one
-    _check_shares call covers both attitude checks: its rows are
-    normalized, so no row fails its sum before an earlier row fails its
-    bounds). The distances come from core.pair_distances in fixed-size
-    passes, within-group pairs first and cross-expert pairs after each
-    weighing, so the kernel's working memory does not grow with the round.
+    The checks raise in a fixed order: the information shares before any
+    distance work, then, per (tie_epsilon, credibility_floor) in config
+    order, an overflowing credibility_floor, the attitude bounds, the
+    credibility shares and the attitude sum (one _check_shares call covers
+    both attitude checks: its rows are normalized, so no row fails its sum
+    before an earlier row fails its bounds). The distances come from
+    core.pair_distances in fixed-size passes, within-group pairs first and
+    cross-expert pairs after each weighing, so the kernel's working memory
+    does not grow with the round.
     No array is made read-only here: evaluate_round does that for the
     arrays that reach its report.
     """
@@ -317,22 +312,11 @@ def _round_arrays(
     n_alt, n_exp, m = mu.shape
 
     # information volume reads only the original judgments; checked first so
-    # that an overflowing round fails before the distance work
+    # that a share that underflows fails before the distance work
     raw_iv = information_volumes(mu, nu)
-    with np.errstate(over="ignore"):
-        modified = np.exp(raw_iv)
-    overflowed = np.isinf(modified)
-    if overflowed.any():
-        a, e = np.argwhere(overflowed)[0]
-        raise DomainError(
-            f"information volume of {raw_iv[a, e]} bits overflows its exponential",
-            location=f"{labels[a]}/{experts[e]}",
-        )
     iv_shares = info_shares(raw_iv)
-    # with none overflowed, exp(raw) > 0 holds for finite volumes only
-    valid = (modified > 0.0) & (iv_shares > 0.0)
-    bounds = "must be positive, from finite volumes"
-    _check_shares("information shares", iv_shares, valid, bounds, labels, experts)
+    valid = iv_shares > 0.0
+    _check_shares("information shares", iv_shares, valid, "must be positive", labels, experts)
 
     z, combined = z_arrays(mu, nu)
     triples = mass_triples(combined[..., 0], combined[..., 1])
@@ -379,13 +363,7 @@ def _round_arrays(
         _check_shares("attitude characters", alpha, valid, "must lie in [0, 1]", labels, experts)
         valid = np.isfinite(cr) & (cr >= 0.0) & (cr <= 1.0)
         _check_shares("credibility", cr, valid, "must lie in [0, 1]", labels, experts)
-        with np.errstate(divide="ignore", over="ignore"):
-            sharp = (1.0 - alpha) / alpha  # as sharpness() gives it
-        # a row where that reads 0 or inf, from an attitude that rounds to 1
-        # or to almost 0, takes its sharpness from the volumes instead
-        saturated = ~(np.isfinite(sharp) & (sharp > 0.0)).all(axis=-1)
-        if saturated.any():
-            sharp[saturated] = saturated_sharpness(raw_iv[saturated], cr[saturated])
+        sharp = sharpness_values(raw_iv, cr)
         return dict(
             similarities=sm,
             points=po,

@@ -22,7 +22,7 @@ from .io import FIELDS, INF_FIELDS, _require, config_from_dict
 from .pipeline import AlternativeReport, RoundReport
 
 # written by report_to_dict, but recomputed rather than read
-_DERIVED = ("info_modified", "partials")
+_DERIVED = ("partials",)
 _READ = tuple(f for group in FIELDS for f in group if f.key and f.attr not in _DERIVED)
 # each field's JSON key, without its member: where a fault in it is located
 _KEY = {f.attr: f.key.partition(".")[0].removesuffix("[]") for f in _READ}
@@ -120,13 +120,7 @@ _SHARE_CHECKS = {
         ),
         (_sum_off, "credibility must sum to 1, got {sum}"),
     ),
-    "info_volume": (
-        (lambda raw: _rows(~np.isfinite(raw)), "raw info volume must be finite"),
-        (
-            lambda raw: _rows(~(np.isfinite(np.exp(raw)) & (np.exp(raw) > 0.0))),
-            "modified info volume must be finite and positive",
-        ),
-    ),
+    "info_volume": ((lambda raw: _rows(~np.isfinite(raw)), "raw info volume must be finite"),),
     "info_share": (
         (
             lambda n: _rows(n <= 0.0) | _sum_off(n),
@@ -204,8 +198,8 @@ def report_from_dict(doc: Mapping) -> RoundReport:
     first expert's group that has one, else of the shares. Last, the first
     field that holds a NaN or an infinity, other than +inf similarities and
     sharpness, raises a DomainError located at the alternative and key, so a
-    rebuilt report can be written back. The derived info_volume.modified and
-    series[].partials are recomputed, not read.
+    rebuilt report can be written back. The derived series[].partials are
+    recomputed, not read.
     """
     kinds = {"round_label": str, "criteria_labels": list, "expert_labels": list, "config": dict}
     kinds.update(alternatives=dict, ranking=list, ties=list, degeneracies=list)

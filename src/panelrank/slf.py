@@ -35,14 +35,14 @@ def owa_matrix(k: int, p: float | np.ndarray) -> np.ndarray:
     w_j = (j/k)^P - ((j-1)/k)^P for j = 1..k. The powers telescope, so the
     weights sum to 1 by construction. P > 1 concentrates weight on late
     positions (long products), P < 1 on early ones, P = 1 is uniform. The
-    powers go through np.power with an array exponent, so each row is
-    the same bit for bit whether its sharpness comes alone or in a batch;
-    the ** operator takes square and sqrt shortcuts for a scalar 2 or 0.5.
-    P = 0 gives its limit, all weight on the first position, where 0 ** 0
+    powers go through np.power with a full [..., k + 1] exponent array, so
+    each row is the same bit for bit alone or in a batch: np.power squares
+    an exponent of 2 that repeats along its inner loop, as ** does a scalar
+    2. P = 0 gives its limit, all weight on the first position, where 0 ** 0
     would give none; P = inf gives all weight on the last.
     """
     grid = np.arange(k + 1) / k
-    powers = np.power(grid, np.asarray(p)[..., None])
+    powers = np.power(grid, np.repeat(np.asarray(p, dtype=float)[..., None], k + 1, axis=-1))
     powers[..., 0] = 0.0  # 0 ** P for every P > 0
     return np.diff(powers, axis=-1)
 

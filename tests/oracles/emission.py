@@ -122,7 +122,6 @@ def alternative_dict(r) -> dict:
         "credibility": r.credibility.tolist(),
         "info_volume": {
             "raw": r.info_volume.tolist(),
-            "modified": r.info_modified.tolist(),
             "normalized": r.info_share.tolist(),
         },
         "attitude": r.attitude.tolist(),

@@ -3,20 +3,23 @@
 from __future__ import annotations
 
 import json
-import random
 import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from panelrank import (
     cli_main,
+    emit_judgments,
     emit_trace,
     evaluate_round,
     read_trace,
+    report_from_dict,
 )
 import panelrank.cli
+from strategies import random_round
 
 
 @pytest.fixture(scope="module")
@@ -184,25 +187,18 @@ def test_internal_failures_exit_two(judgments, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("internal error: RuntimeError")
 
 
-def _overflow_round(label: str) -> dict:
-    """2 alternatives x 3 experts x 600 criteria of hand-entry-like judgments.
+def _underflow_round(label: str) -> dict:
+    """1 alternative x 2 experts x 471 criteria: E1 judges every criterion
+    (0, 0) and E2 (1, 0).
 
-    Each expert's information volume is far above log(float max) ~ 709.8, so
-    its exponential overflows.
+    E1's information volume, 471 log2(3) ~ 746.5, dwarfs E2's zero by more
+    than the float range allows: E2's information share underflows to 0.
     """
-    rng = random.Random(3)
-
-    def pair():
-        mu = rng.randint(0, 100)
-        return [mu / 100, rng.randint(0, 100 - mu) / 100]
-
     return {
         "round_label": label,
-        "criteria_labels": [f"c{i}" for i in range(600)],
-        "experts": ["E1", "E2", "E3"],
-        "alternatives": {
-            alt: [[pair() for _ in range(600)] for _ in range(3)] for alt in ("A1", "A2")
-        },
+        "criteria_labels": [f"c{i}" for i in range(471)],
+        "experts": ["E1", "E2"],
+        "alternatives": {"A": [[[0.0, 0.0]] * 471, [[1.0, 0.0]] * 471]},
     }
 
 
@@ -211,21 +207,24 @@ def _write_rounds(path, rounds) -> str:
     return str(path)
 
 
-def test_overflowing_information_volume_fails_with_its_location(tmp_path, capsys):
-    path = _write_rounds(tmp_path / "wide.json", [_overflow_round("wide")])
-    assert cli_main(["evaluate", path, "--format", "json"]) == 2
+def test_a_round_of_400_criteria_evaluates_and_reads_back(tmp_path, capsys):
+    # A0/E2's information volume, 901.6, is past the exponent range of a
+    # float; the shares and sharpness take exp only of volume differences
+    round_input = random_round(np.random.default_rng(1), 3, 4, 400)
+    path = tmp_path / "wide.json"
+    path.write_bytes(emit_judgments([round_input]))
+    assert cli_main(["evaluate", str(path), "--format", "json"]) == 0
     captured = capsys.readouterr()
-    assert "Infinity" not in captured.out
-    assert captured.out == ""
-    assert captured.err.startswith("error: round wide: DomainError: information volume")
-    assert "overflows" in captured.err
-    assert "(at A1/E1)" in captured.err
+    assert captured.err == ""
+    report = report_from_dict(json.loads(captured.out))
+    assert report.alternatives["A0"].info_volume.max() > 709.8
+    assert report.ranking == evaluate_round(round_input).ranking
 
 
 def test_a_failing_round_does_not_stop_the_others(fixtures_dir, rounds, tmp_path, capsys):
     good = json.loads((fixtures_dir / "round1.json").read_text())["rounds"][0]
-    path = _write_rounds(tmp_path / "mixed.json", [good, _overflow_round("wide")])
-    failure = "error: round wide: DomainError: "
+    path = _write_rounds(tmp_path / "mixed.json", [good, _underflow_round("wide")])
+    failure = "error: round wide: DomainError: information shares must be positive"
     report = evaluate_round(rounds[0])
 
     assert cli_main(["evaluate", path, "--format", "json"]) == 2
@@ -251,7 +250,7 @@ def test_a_failing_round_does_not_stop_the_others(fixtures_dir, rounds, tmp_path
     assert captured.out == expected
     assert "round wide" not in captured.out
     assert captured.err.startswith(failure)
-    assert "(at A1/E1)" in captured.err
+    assert "(at A/E2)" in captured.err
     assert len(captured.err.splitlines()) == 1
 
 

@@ -3,22 +3,31 @@
 Criterion 10 compares emit_trace with itself, so it cannot notice a change
 in the numbers. Any drift in any intermediate value of the fixture rounds,
 under any of the six canonical configurations, changes these digests. They
-were last recorded when the Jensen-Shannon distances moved from libm's log
-of the rounded ratio to numpy's log and log1p, which moved no value by more
-than 2e-14 relative. numpy may pick its log and log1p by CPU feature; these
-were recorded with numpy 2.4 on an x86-64 host with AVX-512. Update them only
-together with a stated reason for the change in output.
+were last recorded when every expert's sharpness came to be taken from the
+volumes and credibility in the log domain, rather than as (1 - alpha) /
+alpha, and the JSON dropped the derived key info_volume.modified: on the
+fixtures that moved sharpness and gross estimations by at most 1e-15
+relative, and OWA weights by at most 1e-14. numpy may pick its log, log1p
+and exp by CPU feature; these were recorded with numpy 2.4 on an x86-64
+host with AVX-512. Update them only together with a stated reason for the
+change in output: `PYTHONPATH=src python tests/test_golden.py` prints both
+tables from the current code, laid out as below, to paste over them.
 
-The rankings and tie sets sit beside the digests and were recorded before
-that change, so a re-recorded digest cannot hide a moved ranking.
+The rankings and tie sets sit beside the digests and are not printed, so a
+re-recorded digest cannot hide a moved ranking.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import tempfile
+from pathlib import Path
 
 import pytest
 
+from conftest import FIXTURES
 from panelrank import (
     cli_main,
     config_grid,
@@ -33,54 +42,54 @@ from panelrank import (
 GOLDEN = {
     "supplier_rounds.json": {
         "equal/original": (
-            "fbe43bd2192ddcd8b2947555ee9edad09cc4a484107e39a98136f47fc58ec95e",
-            "6bf912f095b17d9b3f0a5e3f60e23ef97060a7625d4e603adfb6fdeb06837222",
+            "4acc8828fcb9634b6a6356fdd1d3a9893c645e0b3c25eaa68f9b5f11c8e2336a",
+            "2c69249be9e0e708d8f3c89dde8067f2837eaf31670a7a0c4716ed5a2bf8b52b",
         ),
         "equal/combined": (
-            "095c44a49c13f4eae2ce5bdb213ce9c8fab03cdb03fde640d47e1ddd1290db1c",
-            "f67f3f31f5f45d89d1fda2a9c9317219b5e24b397d3ffce8a67aeaecb19b1a8b",
+            "c9d20db8d399be4864dedb845d2ec9cdc7368280eaca33ee338f4e4bc7864406",
+            "8ea80c451636c740a4caa1ca7656b21e53ce75cee3b4aec13fea68a22b61e0cd",
         ),
         "proportional/original": (
-            "0a731c416c17b8ca5255e8bf4b2fd8fea7a8b84c087763390b22f60d34edf893",
-            "f7530f8b5946a03fa77c3ab0ca29bd01c7a0f27d5ed33a784a22e5889bd78405",
+            "8ba58503fb2e52fa520f5f35414ea6c2a0be61ddb5916aca6557ac3df61c75da",
+            "f50957ebc2d6697c9b9e4ceb3c14c2310f89b3b608f394d422a852dcb8251143",
         ),
         "proportional/combined": (
-            "d84079af11d382c2e078320cec10d937b5807a9bfd48da1736049389c94499fe",
-            "61ad0d3a70ef07d464286a2471352f3ccf7654ea8b0805547b26b5bb22cf6e1a",
+            "5f84605e356c3e59d2aa5dda4144dc956b8472a7b3d0d20b6886fe70e9fe15d7",
+            "f2a30538303df103dda00d95574a005eb19ef61536b9a42c1e462d9a2a6d20a4",
         ),
         "none/original": (
-            "13c4edb3b3beeee3c8919c4b59e4b56ddbcf57bd09b135e292947cf2a4100d6d",
-            "0437e6fbbd92190570d2c3365fcf97e008697accd751a4a1532ede6a3443240d",
+            "2fd21f9cb7c0bb2d956aaee7feceefb12f6b6432db1056a5715bfeb033197d13",
+            "97fd2c9ac0fbd5f448ec4a79f46bc099c9b63643c3215afa0b32278a7b2e5baa",
         ),
         "none/combined": (
-            "191eddfe3ab5952cc75a66c341e2765b234fb6322b0e6cbc0993230fd9f9289e",
-            "22c475c3da594a5f4f4a75fc1c8d808e4d54b8bc98c1070213fed300ee7c8342",
+            "4dfe17b5b092065503005c09c54c661c4b2e84603ec08abf2d6f4ec6b437c7a4",
+            "3eb4a6b9a58b437599d2e86c01d5a0af30f9bcd6bb302d91e64b5aa83e2256bb",
         ),
     },
     "round1.json": {
         "equal/original": (
-            "72ed7c4fbeab14776401d96f244f1a66bf48b4b063fb12150928ce502bf174ae",
-            "f239acdddcf82e1096630f236168a452d59e1417c5bf7d37830553e01be7579c",
+            "fb7de872fe7a77d92dbffb9491f631b69bb1223812a098f6bc65e33d94cf08aa",
+            "278e8452678022ec61e03fc15ca8f40a86b3fa5b726def2c04fe5c02baf18c44",
         ),
         "equal/combined": (
-            "6fe6a6f0f78cc7c103bcfba6601a12c09f83287b1bf0eaefa12668ea1ef9c395",
-            "46c11022492ba2ea2d70352c22c3a08322970be3d297dd721c09cbc1098b1fd6",
+            "53bdc96ee3cb3e441ecc743d6a51ecb6cf6fdc0b067dc62e2fb6ed1cef0057c2",
+            "b6bef92232b9b4434db8b61e575b600eae21af92450a76a5be8c2004b26a0e79",
         ),
         "proportional/original": (
-            "92f92fd0b77e8bf170cc4c4ccdc99d6d53dd50a9cf01c5ec1420d816214347da",
-            "59c96cbfbccd300fa03f8a0f23351de19fa8c277ebe7862218de8cc6971016cd",
+            "8133b62c860a87277b7320e83192e55f28ad6b0dd7996fd2f559a03950ff3f8f",
+            "06831c2a0bc45624bc7e52181b88976df28dc62df96de102331f29a5b8fbf4c8",
         ),
         "proportional/combined": (
-            "65660d92fa59b9bc2ae7fc2a4a0a474fe14107adba28ed355f1189443f131cfb",
-            "9422548461c196c4233b51fcf0f2cf9f7b7e6fc622451c1488909c94b477c04a",
+            "152f03268a46f885a7d4089d275861a9808cb3d062a78515970fa699e6e690bf",
+            "b3089236d0d185aa3a2d367aff22360c583332212f5ea016b2634ca6e9f23da4",
         ),
         "none/original": (
-            "85db9da09a9baa8d3954d6c9cf729e6fd478fbd568d6b39b508b1ab019baa269",
-            "de01c30658a5a5694f9fa3186a1921c53e54ab22eb8fe02b4c651449b363c7f9",
+            "d6943047d9d3abe419fe5adb500801727a18d2662a8e746c99e4a7fe03bae976",
+            "bcfaa30b30949ad48424bdc48b047032ee4e2e1d187128eda787dc43077cd9cc",
         ),
         "none/combined": (
-            "41be58f10bec2f032e170f76801f7e8ea6e886172233e57fa7c1899738b98387",
-            "64950affe47e0f83d931af18c598a3e70bc60f01b89fc7e5dc28c8691583250d",
+            "91ea6e26445219d5e61459829fedabd23bec7e593829e97f77db342b239635d9",
+            "e73c6c45aefe99732c584340122c1440345c7bdf15efa80c68f01b723339e075",
         ),
     },
 }
@@ -94,23 +103,23 @@ GOLDEN = {
 # compare-configs table are pinned nowhere else byte for byte.
 CLI_GOLDEN = {
     ("evaluate", "--format", "json"): (
-        "24be4d4ca1db81a5f6775d91d91cea9524abf6e122cba781713f70d4adddf574"
+        "22c582d9ef912421145c9b5a35630c64dfeabf657f2abf30065cd48c743c33a8"
     ),
     ("evaluate", "--round", "r1", "--format", "json"): (
-        "f239acdddcf82e1096630f236168a452d59e1417c5bf7d37830553e01be7579c"
+        "278e8452678022ec61e03fc15ca8f40a86b3fa5b726def2c04fe5c02baf18c44"
     ),
     ("evaluate", "--format", "csv"): (
-        "fbe43bd2192ddcd8b2947555ee9edad09cc4a484107e39a98136f47fc58ec95e"
+        "4acc8828fcb9634b6a6356fdd1d3a9893c645e0b3c25eaa68f9b5f11c8e2336a"
     ),
-    ("trace", "--out"): "fbe43bd2192ddcd8b2947555ee9edad09cc4a484107e39a98136f47fc58ec95e",
-    ("compare-configs",): "35d403acdc560a224ef5b2814c4468cab72698685b3e5bcfbc6a7b239e08e578",
+    ("trace", "--out"): "4acc8828fcb9634b6a6356fdd1d3a9893c645e0b3c25eaa68f9b5f11c8e2336a",
+    ("compare-configs",): "6ade8bdd1d73cfc7d326b1a86874be09cbd73a06ffbc0a3b25efd432f7dee7bb",
     (
         "compare-configs",
         "--round",
         "r1",
         "--reference",
         "Supplier_4 > Supplier_3 > Supplier_2 > Supplier_1 > Supplier_5",
-    ): "2a582946782dac9f2a45d6c0d8fd6410185a6a1eae8936616c9d81e4a851df6d",
+    ): "5939e85bfefc34a68770f917db58e23a33662ca48c29bbb680bdd177d0715d67",
 }
 
 
@@ -180,14 +189,30 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _fixture_digests(name: str, config) -> tuple[str, str]:
+    """The GOLDEN entry of a fixture file under one config, from the current code."""
+    rounds = parse_judgments((FIXTURES / name).read_bytes())
+    reports = [evaluate_round(r, config) for r in rounds]
+    return _sha256(emit_trace(reports)), _sha256(b"".join(emit_report(r, "json") for r in reports))
+
+
+def _cli_digest(args: tuple[str, ...], workdir: Path) -> str:
+    """The CLI_GOLDEN entry of a command line, from the current code."""
+    command, *options = args
+    argv = [command, str(FIXTURES / "supplier_rounds.json"), *options]
+    out = workdir / "trace.csv"
+    if command == "trace":
+        argv.append(str(out))
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        assert cli_main(argv) == 0
+    return _sha256(out.read_bytes() if command == "trace" else stdout.getvalue().encode("utf-8"))
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 @pytest.mark.parametrize("config", config_grid(), ids=_config_id)
-def test_fixture_output_bytes_are_unchanged(fixtures_dir, name, config):
-    rounds = parse_judgments((fixtures_dir / name).read_bytes())
-    reports = [evaluate_round(r, config) for r in rounds]
-    trace_digest, json_digest = GOLDEN[name][_config_id(config)]
-    assert _sha256(emit_trace(reports)) == trace_digest
-    assert _sha256(b"".join(emit_report(r, "json") for r in reports)) == json_digest
+def test_fixture_output_bytes_are_unchanged(name, config):
+    assert _fixture_digests(name, config) == GOLDEN[name][_config_id(config)]
 
 
 @pytest.mark.parametrize("name", sorted(RANKINGS))
@@ -204,12 +229,35 @@ def test_fixture_rankings_and_ties_are_unchanged(fixtures_dir, name, config):
 
 
 @pytest.mark.parametrize("args", sorted(CLI_GOLDEN), ids=" ".join)
-def test_cli_output_bytes_are_unchanged(fixtures_dir, tmp_path, capsys, args):
-    command, *options = args
-    argv = [command, str(fixtures_dir / "supplier_rounds.json"), *options]
-    out = tmp_path / "trace.csv"
-    if command == "trace":
-        argv.append(str(out))
-    assert cli_main(argv) == 0
-    written = out.read_bytes() if command == "trace" else capsys.readouterr().out.encode("utf-8")
-    assert _sha256(written) == CLI_GOLDEN[args]
+def test_cli_output_bytes_are_unchanged(tmp_path, args):
+    assert _cli_digest(args, tmp_path) == CLI_GOLDEN[args]
+
+
+def _print_tables() -> None:
+    """Print GOLDEN and CLI_GOLDEN as this file lays them out, from the current code."""
+    lines = ["GOLDEN = {"]
+    for name in GOLDEN:
+        lines.append(f'    "{name}": {{')
+        for config in config_grid():
+            trace, json_ = _fixture_digests(name, config)
+            lines += [f'        "{_config_id(config)}": (', f'            "{trace}",']
+            lines += [f'            "{json_}",', "        ),"]
+        lines.append("    },")
+    lines += ["}", "", "", "CLI_GOLDEN = {"]
+    with tempfile.TemporaryDirectory() as workdir:
+        for args in CLI_GOLDEN:
+            digest = f'"{_cli_digest(args, Path(workdir))}"'
+            key = "(" + ", ".join(f'"{a}"' for a in args) + ("," if len(args) == 1 else "") + ")"
+            # the entry on one line where it fits the file's 99 columns
+            if len(f"    {key}: {digest},") <= 99:
+                lines.append(f"    {key}: {digest},")
+            elif len(f"    {key}: (") <= 99:
+                lines += [f"    {key}: (", f"        {digest}", "    ),"]
+            else:
+                lines += ["    ("] + [f'        "{a}",' for a in args] + [f"    ): {digest},"]
+    lines.append("}")
+    print("\n".join(lines))
+
+
+if __name__ == "__main__":
+    _print_tables()

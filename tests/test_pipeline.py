@@ -281,13 +281,14 @@ def test_identical_alternatives_tie_and_rank_lexicographically():
 
 
 def test_evaluate_all_isolates_failing_rounds(rounds):
-    # 400 judgments of log2(5) bits each: the information volume overflows
-    wide = _round({"A": [[(0.2, 0.2)] * 400] * 2}, criteria=tuple(f"x{i}" for i in range(400)))
-    results = evaluate_all([rounds[0], wide])
+    # E1's information volume, 471 log2(3) ~ 746.5, leaves E2 a share that
+    # underflows to 0
+    results = evaluate_all([rounds[0], _lopsided_round(471)])
     assert isinstance(results[0], RoundReport)
     assert isinstance(results[1], RoundFailure)
     assert results[1].round_label == "t"
-    assert "overflows" in results[1].error
+    assert results[1].error.startswith("information shares must be positive, got 0.0")
+    assert "(at A/E2)" in results[1].error
     assert results[1].error_type == "DomainError"
 
 
@@ -352,6 +353,14 @@ def test_compare_configs_fails_where_evaluate_round_does(round1):
 def test_the_lopsided_round_evaluates_one_criterion_short_of_saturation():
     alpha = evaluate_round(_lopsided_round(23)).alternatives["A"].attitude
     assert 0.0 < alpha[1] < 1e-15 and alpha[0] < 1.0
+
+
+def test_the_lopsided_round_evaluates_one_criterion_short_of_underflow():
+    # at 470 criteria E2's information share is the least subnormal float;
+    # at 471 it underflows, as test_evaluate_all_isolates_failing_rounds shows
+    alt = evaluate_round(_lopsided_round(470)).alternatives["A"]
+    assert alt.info_share[1] == 5e-324
+    assert alt.sharpness.tolist() == [5e-324, math.inf]
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ round's [A, E, ...] arrays. These tests hold it to three things:
   the same; the stages whose arithmetic differs are held to stated bounds;
 - memory beyond the report's arrays does not grow with the alternatives
   and stays within a fixed bound at many criteria, compare_configs holds
-  no [A, E, M, M] array, no per-group object is built, and from the file
-  to the report no per-judgment object either.
+  no [A, E, M, M] array, a large group's pair lists do not outlive the
+  call, no per-group object is built, and from the file to the report no
+  per-judgment object either.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import tracemalloc
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from panelrank import (
     evaluate_round,
     parse_judgments,
 )
+from panelrank import core
 from panelrank.core import eifn_values
 from oracles.chain import (
     IFN,
@@ -65,7 +68,6 @@ from oracles.chain import (
     pairwise_distances,
     points,
     preference_matrix,
-    sharpness,
     support_values,
     to_z,
 )
@@ -169,9 +171,7 @@ def _check_alternative(panel: Panel, alt, config) -> None:
         series = dp_values(source, config.split_strategy)
         assert np.array_equal(alt.series[k], series.dp)
         assert np.array_equal(alt.partials[k], series.partials)
-        p = sharpness(alt.attitude[k])
-        assert alt.sharpness[k] == p.p
-        assert np.array_equal(alt.owa[k], owa_weights(m, p).w)
+        assert np.array_equal(alt.owa[k], owa_weights(m, Sharpness(alt.sharpness[k])).w)
         assert alt.dslf[k] == dslf(series, OwaWeights(alt.owa[k]))
 
     # group distances and divergence: kernel against js_distance, m weighted
@@ -194,7 +194,29 @@ def _check_alternative(panel: Panel, alt, config) -> None:
     assert np.array_equal(
         alt.attitude, attitude_characters(iv, CredibilityVector(alt.credibility)).values
     )
+    # sharpness: the ratios c_f / c_e are exponentials of differences of
+    # log c = volume + log credibility, each of which carries an absolute
+    # error of a few eps times the largest |log c| and |log credibility|;
+    # the exponential turns that into the same relative error, and the
+    # sum of e - 1 positive ratios adds at most e eps more
+    log_cr = np.abs(np.log(alt.credibility)).max()
+    log_c = np.abs(alt.info_volume + np.log(alt.credibility)).max()
+    rtol = (2 * log_c + 2 * log_cr + e + 2) * EPS
+    p = _decimal_sharpness(alt.info_volume, alt.credibility)
+    np.testing.assert_allclose(alt.sharpness, p, rtol=rtol, atol=0.0)
     assert alt.gross_estimation == gross_estimation(alt.dslf)
+
+
+def _decimal_sharpness(volumes, cr) -> list[float]:
+    """P_e = sum over f != e of c_f / c_e with c = exp(volume) cr, in 50 digits.
+
+    The same sharpness as (1 - alpha) / alpha, alpha being c's normalized
+    shares, without that quotient's cancellation near alpha = 1.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        c = [Decimal(v).exp() * Decimal(w) for v, w in zip(volumes.tolist(), cr.tolist())]
+        return [float(sum(c[:k] + c[k + 1 :]) / c[k]) for k in range(len(c))]
 
 
 @settings(max_examples=30)
@@ -205,6 +227,18 @@ def test_pipeline_arrays_equal_the_scalar_chain(round_input, config):
         report = evaluate_round(round_input, config)
     for label, panel in panels_of(round_input).items():
         _check_alternative(panel, report.alternatives[label], config)
+
+
+def test_identical_experts_have_the_sharpness_of_equal_attitudes():
+    # three experts who judge alike have equal volumes and credibility, so
+    # alpha = 1/3 and P = 2 exactly, which (1 - alpha) / alpha misses by an ulp
+    group = GroupAssessment((IFN(0.6, 0.1), IFN(0.2, 0.5), IFN(0.3, 0.3)))
+    panels = {"A": Panel((group,) * 3)}
+    round_input = round_of_panels("same", ("x1", "x2", "x3"), ("E1", "E2", "E3"), panels)
+    for config in CONFIGS:
+        alt = evaluate_round(round_input, config).alternatives["A"]
+        assert alt.sharpness.tolist() == [2.0, 2.0, 2.0]
+        assert np.array_equal(alt.owa, np.tile(owa_weights(3, Sharpness(2.0)).w, (3, 1)))
 
 
 def _report_bytes(report) -> int:
@@ -261,6 +295,25 @@ def test_compare_configs_keeps_no_within_group_matrices():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_no_pair_lists_of_a_large_group_outlive_the_call():
+    # a group of 600 criteria holds 179,700 pairs, 88 passes' worth, and its
+    # four pair lists take 5.5 MiB: they are built for the call, and only
+    # lists of at most four passes stay cached
+    crisp = [(1.0, 0.0), (0.0, 1.0)] * 300
+    labels = tuple(f"c{i}" for i in range(600))
+    round_input = RoundInput("crisp", labels, ("E1", "E2"), ("A",), [[crisp, crisp[::-1]]])
+    # imports settle outside the trace, and no earlier test's lists are cached
+    compare_configs(random_round(np.random.default_rng(2), 1, 2, 3), config_grid())
+    core._block_pairs.cache_clear()
+    tracemalloc.start()
+    try:
+        compare_configs(round_input, config_grid())
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 2**20
 
 
 @pytest.mark.parametrize(
