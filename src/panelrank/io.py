@@ -24,7 +24,10 @@ mu + nu <= 1. Unknown keys (such as "notes") are ignored.
 
 FIELDS declares each quantity of a report once; report_to_dict, TRACE_STAGES,
 reports.report_from_dict and the two writers follow it. Both writers stream
-into a text stream and render each array in one pass, not leaf by leaf.
+into a text stream, never leaf by leaf. The trace writer renders each array
+in one pass. The JSON writer renders a report's alternatives a block at a
+time: it formats each distinct float of a block once and fills a layout of
+the alternative's object, cached per array shapes and indent level.
 
 The trace is a flat CSV with header round,alternative,stage,expert,criterion,
 value and LF line endings. Scalar values are written as the shortest decimal
@@ -46,6 +49,7 @@ import io as _io
 import itertools
 import json
 import math
+import re
 import threading
 from collections.abc import Mapping, Sequence
 from json.encoder import encode_basestring_ascii
@@ -134,8 +138,10 @@ def _layout(shape: tuple[int, ...], level: int) -> str:
     if not shape or not shape[0]:
         return "[]" if shape else "%s"
     inner = "\n" + "  " * (level + 1)
-    items = f",{inner}".join([_layout(shape[1:], level + 1)] * shape[0])
-    return f"[{inner}{items}\n{'  ' * level}]"
+    items = [_layout(shape[1:], level + 1)] * shape[0]
+    items[0] = f"[{inner}{items[0]}"
+    items[-1] = f"{items[-1]}\n{'  ' * level}]"
+    return f",{inner}".join(items)  # one allocation of the whole text
 
 
 def _scalar(o) -> str:
@@ -151,10 +157,18 @@ def _scalar(o) -> str:
 _LEAF = {"f": float.__repr__, "i": int.__repr__}  # the leaves of float and int arrays
 
 
+class _Alternatives(NamedTuple):
+    """A report's "alternatives" object, which _write renders a block at a time."""
+
+    reports: Mapping[str, AlternativeReport]
+
+
 def _write(o, level: int, write) -> None:
     if isinstance(o, RoundReport):
-        o = _report_doc(o, lists=False)
-    if isinstance(o, np.ndarray):
+        o = _report_doc(o, _Alternatives(o.alternatives))
+    if isinstance(o, _Alternatives):
+        _write_alternatives(o.reports, level, write)
+    elif isinstance(o, np.ndarray):
         flat = o.ravel().tolist()
         text = _layout(o.shape, level) % tuple(map(_LEAF.get(o.dtype.kind, _scalar), flat))
         if "n" in text and o.dtype.kind == "f":  # inf or nan: a finite float's repr has no n
@@ -176,11 +190,162 @@ def _write(o, level: int, write) -> None:
         write(("\n" + "  " * level if items else "") + closer)
 
 
+# The most leaves formatted, and filled into one text, at once. The writer
+# holds a few times the text of this many leaves; 2048 holds each fixture
+# round in one block.
+_BLOCK_VALUES = 2048
+
+
+@functools.lru_cache(maxsize=128)
+def _alternative_layout(signature: tuple, level: int) -> tuple:
+    """json.dumps's layout of an alternative's object at this indent level.
+
+    signature: the (shape, dtype kind) of each _JSON_FIELDS array. The leaves
+    are numbered field by field, the float fields first, then one more for
+    the degeneracies list. Returns the layout, "%s" per leaf; the (start,
+    end) of its pieces of _BLOCK_VALUES leaves; the number of the leaf in
+    each slot, in document order; and whether each float leaf is of
+    INF_FIELDS.
+    """
+    fields = sorted(range(len(_JSON_FIELDS)), key=lambda j: signature[j][1] != "f")
+    numbers, start = {}, 0
+    for j in fields:
+        shape = signature[j][0]
+        size = math.prod(shape)
+        ids = np.arange(start, start + size, dtype=np.int32)
+        numbers[_JSON_FIELDS[j].attr] = ids.reshape(shape)
+        start += size
+    leaves: list[np.ndarray] = []
+    parts: list[str] = []
+    _skeleton({"degeneracies": np.int32(start), **_nest(numbers)}, level, leaves, parts)
+    layout = "".join(parts)
+    del parts
+    slots = re.finditer("%s", layout)
+    cuts = [m.start() for m in itertools.islice(slots, _BLOCK_VALUES, None, _BLOCK_VALUES)]
+    pieces = tuple(zip([0, *cuts], [*cuts, len(layout)]))
+    floats = [_JSON_FIELDS[j].attr for j in fields if signature[j][1] == "f"]
+    inf = np.repeat([attr in INF_FIELDS for attr in floats], [numbers[a].size for a in floats])
+    return layout, pieces, np.concatenate(leaves), inf.astype(bool)
+
+
+def _skeleton(o, level: int, leaves: list, parts: list) -> None:
+    """Append json.dumps's layout of nested dicts, lists and int arrays to
+    parts, "%s" per number, and the numbers to leaves in their slots' order."""
+    if not isinstance(o, (dict, list)):
+        leaves.append(np.ravel(o))
+        parts.append(_layout.__wrapped__(np.shape(o), level))  # the layout keeps it, not the cache
+        return
+    keys = sorted(o) if isinstance(o, dict) else range(len(o))
+    inner = "\n" + "  " * (level + 1)
+    parts.append("{" if isinstance(o, dict) else "[")
+    for i, key in enumerate(keys):
+        parts.append(("," if i else "") + inner)
+        if isinstance(o, dict):
+            parts.append(f"{encode_basestring_ascii(key)}: ")
+        _skeleton(o[key], level + 1, leaves, parts)
+    parts.append(("\n" + "  " * level if keys else "") + ("}" if isinstance(o, dict) else "]"))
+
+
+def _float_texts(values: np.ndarray, inf: np.ndarray) -> np.ndarray:
+    """The JSON text of each finite float or infinity that inf marks (a
+    string), formatting each distinct bit pattern once, so that 0.0 and -0.0
+    stay apart."""
+    distinct, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
+    texts = np.array(list(map(float.__repr__, distinct.view(float).tolist())), dtype=object)
+    texts = texts[inverse].reshape(values.shape)
+    written = np.isinf(values) & inf  # standard JSON cannot hold an infinity as a number
+    texts[written] = [f'"{t}"' for t in texts[written]]
+    return texts
+
+
+def _write_block(block: list, arrays: list, level: int, write, opener: str) -> None:
+    """Write a block of (label, AlternativeReport) pairs, each with its
+    _JSON_FIELDS arrays of one signature, as entries of an object at level,
+    the first after opener.
+
+    Each piece of the cached layout is formatted for the whole block at
+    once; a block of more than one alternative fits one piece. A NaN, or an
+    infinity outside INF_FIELDS, raises json.dumps's ValueError in place of
+    its alternative.
+    """
+    signature = tuple((a.shape, a.dtype.kind) for a in arrays[0])
+    layout, pieces, leaves, inf = _alternative_layout(signature, level + 1)
+    kinds = [kind for _, kind in signature]
+    values = np.concatenate(
+        [a.ravel() for row in arrays for a, kind in zip(row, kinds) if kind == "f"], dtype=float
+    ).reshape(len(block), inf.size)
+    faults = np.isnan(values) | (np.isinf(values) & ~inf)
+    others = np.empty((len(block), leaves.size - inf.size), dtype=object)
+    for i, ((_, alt), row) in enumerate(zip(block, arrays)):
+        texts = [
+            map(_LEAF.get(kind, _scalar), a.ravel().tolist())
+            for a, kind in zip(row, kinds)
+            if kind != "f"
+        ]
+        others[i] = [*itertools.chain(*texts), _text(list(alt.degeneracies), level + 2)]
+    inner = "\n" + "  " * (level + 1)
+    for k, (start, end) in enumerate(pieces):
+        piece = layout[start:end]
+        slots = leaves[k * _BLOCK_VALUES : (k + 1) * _BLOCK_VALUES]
+        numeric = slots < inf.size
+        cells = np.empty((len(block), slots.size), dtype=object)
+        cells[:, numeric] = _float_texts(values[:, slots[numeric]], inf[slots[numeric]])
+        cells[:, ~numeric] = others[:, slots[~numeric] - inf.size]
+        for i, (label, _) in enumerate(block):
+            if not k:
+                if faults[i].any():  # raise for the first in document order
+                    floats = leaves[leaves < inf.size]
+                    _scalar(float(values[i, floats[np.argmax(faults[i, floats])]]))
+                write(f"{opener}{inner}{encode_basestring_ascii(label)}: ")
+                opener = ","
+            write(piece % tuple(cells[i].tolist()))
+
+
+def _write_alternatives(reports: Mapping[str, AlternativeReport], level: int, write) -> None:
+    """Write a report's "alternatives" object, as json.dumps lays out its
+    report_to_dict form, a block of whole alternatives at a time.
+
+    A block holds the next alternatives, in key order, whose arrays share
+    shapes and dtype kinds and fit _BLOCK_VALUES leaves, and at least one.
+    """
+    if not reports:
+        write("{}")
+        return
+    opener, block, arrays, size, signature = "{", [], [], 0, None
+    for label in sorted(reports):
+        row = [np.asarray(getattr(reports[label], f.attr)) for f in _JSON_FIELDS]
+        count = sum(a.size for a in row) + 1
+        shapes = [(a.shape, a.dtype.kind) for a in row]
+        if block and (size + count > _BLOCK_VALUES or shapes != signature):
+            _write_block(block, arrays, level, write, opener)
+            opener, block, arrays, size = ",", [], [], 0
+        signature = shapes
+        block.append((label, reports[label]))
+        arrays.append(row)
+        size += count
+    _write_block(block, arrays, level, write, opener)
+    write("\n" + "  " * level + "}")
+
+
+def _text(o, level: int) -> str:
+    parts: list[str] = []
+    _write(o, level, parts.append)
+    return "".join(parts)
+
+
 def write_json(doc, stream: TextIO) -> None:
     """Write doc and a newline into stream, as json.dumps(doc, indent=2,
     sort_keys=True, allow_nan=False) gives it; an ndarray stands for its
-    tolist() and a RoundReport for its report_to_dict(). A non-finite number
-    raises json.dumps's ValueError, once the text before it is written."""
+    tolist() and a RoundReport for its report_to_dict().
+
+    A report's alternatives are written a block at a time. A block is as
+    many whole alternatives, in key order, as fit _BLOCK_VALUES (2048)
+    leaves, and at least one; each distinct float bit pattern of it is
+    formatted once. Each text written holds at most _BLOCK_VALUES leaves,
+    and the memory held is a few times that text plus the cached layouts,
+    not the round. A non-finite number raises json.dumps's ValueError: in a
+    report's alternatives once the alternatives before it are written,
+    elsewhere once the text before its array or number is written."""
     _write(doc, 0, stream.write)
     stream.write("\n")
 
@@ -406,16 +571,12 @@ def config_from_dict(doc: Mapping) -> EvaluationConfig:
     return EvaluationConfig(**kwargs)
 
 
-def _alternative_doc(alt: AlternativeReport, lists: bool) -> dict:
-    """An alternative's JSON object, its arrays as lists or as they are."""
-    doc = {"degeneracies": list(alt.degeneracies)}
+def _nest(values: Mapping[str, object]) -> dict:
+    """An alternative's JSON object but its degeneracies, from each _JSON_FIELDS
+    value by attr."""
+    doc: dict = {}
     for f in _JSON_FIELDS:
-        value = getattr(alt, f.attr)
-        if f.attr in INF_FIELDS and np.isinf(value).any():
-            # standard JSON cannot hold an infinity as a number
-            value = _inf_as_text(value.tolist())
-        elif lists and f.axes:
-            value = value.tolist()
+        value = values[f.attr]
         head, _, tail = f.key.partition(".")
         if head.endswith("[]"):
             for entry, row in zip(doc.setdefault(head[:-2], [{} for _ in value]), value):
@@ -427,19 +588,34 @@ def _alternative_doc(alt: AlternativeReport, lists: bool) -> dict:
     return doc
 
 
+def _alternative_doc(alt: AlternativeReport) -> dict:
+    """An alternative's JSON object."""
+    values = {}
+    for f in _JSON_FIELDS:
+        value = getattr(alt, f.attr)
+        if f.attr in INF_FIELDS and np.isinf(value).any():
+            # standard JSON cannot hold an infinity as a number
+            value = _inf_as_text(value.tolist())
+        elif f.axes:
+            value = value.tolist()
+        values[f.attr] = value
+    return {"degeneracies": list(alt.degeneracies), **_nest(values)}
+
+
 def _inf_as_text(value):
     if isinstance(value, list):
         return [_inf_as_text(v) for v in value]
     return fnum(value) if math.isinf(value) else value
 
 
-def _report_doc(report: RoundReport, lists: bool) -> dict:
+def _report_doc(report: RoundReport, alternatives) -> dict:
+    """A report's JSON object, alternatives its "alternatives" value."""
     return {
         "round_label": report.round_label,
         "criteria_labels": list(report.criteria_labels),
         "expert_labels": list(report.expert_labels),
         "config": _config_to_dict(report.config),
-        "alternatives": {k: _alternative_doc(a, lists) for k, a in report.alternatives.items()},
+        "alternatives": alternatives,
         "ranking": list(report.ranking),
         "ties": list(report.ties),
         "degeneracies": list(report.degeneracies),
@@ -453,7 +629,8 @@ def report_to_dict(report: RoundReport) -> dict:
     judgment fallback) or sharpness (an attitude character of 0), which is
     written as the string "inf".
     """
-    return _report_doc(report, lists=True)
+    alternatives = {k: _alternative_doc(a) for k, a in report.alternatives.items()}
+    return _report_doc(report, alternatives)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """The trace and JSON writers against the per-leaf reference rendering.
 
-The writers render whole arrays and stream one alternative at a time; the
-reference in oracles/emission.py walks every leaf. Their bytes must be the
-same on rounds drawn at the bench sizes, with labels that need CSV quoting
-or JSON escaping, groups of identical judgments (infinite similarities) and
-alternatives tied on gross estimation.
+The trace writer renders whole arrays and streams one alternative at a
+time; the JSON writer formats each distinct float of a block of
+alternatives once. The reference in oracles/emission.py walks every leaf.
+Their bytes must be the same on rounds drawn at the bench sizes, with
+labels that need CSV quoting or JSON escaping, groups of identical
+judgments (infinite similarities) and alternatives tied on gross
+estimation, and on signed zeros that compare equal.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from panelrank import (
     reference_config,
     report_from_dict,
     report_to_dict,
+    write_json,
     write_trace,
 )
 from oracles import emission as oracle
@@ -149,15 +152,15 @@ def test_drawn_rounds_reach_infinite_similarities_and_ties():
     assert emit_report(report, "json") == oracle.json_bytes(oracle.report_dict(report))
 
 
-def _patched(report, field: str, value: float):
-    alt = report.alternatives["A"]
+def _patched(report, field: str, value: float, label: str = "A", index: int = -1):
+    alt = report.alternatives[label]
     if field == "gross_estimation":
         changed = dataclasses.replace(alt, gross_estimation=value)
     else:
         array = getattr(alt, field).copy()
-        array.flat[-1] = value
+        array.flat[index] = value
         changed = dataclasses.replace(alt, **{field: array})
-    return dataclasses.replace(report, alternatives={**report.alternatives, "A": changed})
+    return dataclasses.replace(report, alternatives={**report.alternatives, label: changed})
 
 
 @pytest.mark.parametrize(
@@ -177,6 +180,40 @@ def test_a_non_finite_value_fails_as_json_dumps_does(field, value):
     report = _patched(
         evaluate_round(RoundInput("r", ("x1", "x2"), ("E1", "E2"), ("A",), [rows])), field, value
     )
+    with pytest.raises(ValueError) as expected:
+        oracle.json_bytes(oracle.report_dict(report))
+    with pytest.raises(ValueError) as raised:
+        emit_report(report, "json")
+    assert str(raised.value) == str(expected.value)
+
+
+def _signed_zeros_and_infinities():
+    # two alternatives of the same judgments, so every value repeats across
+    # them; A holds 0.0 and -0.0 in one field and +inf where JSON writes "inf"
+    rows = [[(0.6, 0.2), (0.3, 0.5)], [(0.5, 0.4), (0.8, 0.0)]]
+    report = evaluate_round(RoundInput("r", ("x1", "x2"), ("E1", "E2"), ("A", "B"), [rows, rows]))
+    report = _patched(_patched(report, "support", 0.0, index=0), "support", -0.0)
+    return _patched(_patched(report, "similarities", np.inf), "sharpness", np.inf, index=0)
+
+
+def test_equal_floats_of_other_bits_and_allowed_infinities_are_written_exactly():
+    report = _signed_zeros_and_infinities()
+    support = report.alternatives["A"].support.ravel()
+    assert support[0] == support[-1] and np.signbit(support[-1]) and not np.signbit(support[0])
+    text = emit_report(report, "json")
+    assert text == oracle.json_bytes(oracle.report_dict(report))
+    assert b"-0.0" in text and b'"inf"' in text
+
+
+@pytest.mark.parametrize(
+    "faults",
+    [[("z", np.nan)], [("support", -np.inf), ("z", np.nan)], [("z", np.nan), ("owa", np.inf)]],
+    ids=["nan", "-inf-before-nan", "inf-before-nan"],
+)
+def test_a_non_finite_value_of_a_later_alternative_fails_as_json_dumps_does(faults):
+    report = _signed_zeros_and_infinities()
+    for field, value in faults:
+        report = _patched(report, field, value, label="B")
     with pytest.raises(ValueError) as expected:
         oracle.json_bytes(oracle.report_dict(report))
     with pytest.raises(ValueError) as raised:
@@ -208,4 +245,19 @@ def test_trace_writer_holds_one_alternative_not_the_round():
         tracemalloc.stop()
     assert sink.size == len(emit_trace([report]))
     assert peak < sink.size / 4
+
+
+def test_json_writer_holds_a_block_not_the_round():
+    report = evaluate_round(random_round(np.random.default_rng(3), 32, 10, 10))
+    sink = _ByteCounter()
+    write_json(report, sink)  # a first run, so caches and imports are not counted
+    sink = _ByteCounter()
+    tracemalloc.start()
+    try:
+        write_json(report, sink)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.size == len(emit_report(report, "json"))
+    assert peak < sink.size / 2
 

@@ -8,8 +8,8 @@ again in a child process with those routines switched off through
 NPY_DISABLE_CPU_FEATURES, and holds the child's trace to this process's:
 the rank rows, which carry every ranking and tie, exactly, and every other
 number within REL_TOL relative. Measured with numpy 2.4.6 on an x86-64 host
-with AVX-512: 333 of the 3,738 trace rows differ, by at most 3.2e-15
-relative, across 11 stages, and no rank row does.
+with AVX-512: 297 of the 3,738 trace rows differ, by at most 3.0e-15
+relative, across 10 stages, and no rank row does.
 """
 
 from __future__ import annotations
